@@ -46,6 +46,7 @@ from .partitions import (
     gl_dim,
     hook_lengths,
     is_type_c,
+    kostka,
     num_standard_tableaux,
     type_c_collapse,
 )

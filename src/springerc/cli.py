@@ -10,7 +10,8 @@ Subcommands:
   characters, all)
 
 Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded,
-3 invalid input.  All output is deterministic.
+3 invalid input, 4 internal self-check failed (a bug, never the input's
+fault).  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from .limits import (
     DEFAULT_MAX_CELLS,
     MAX_SPRINGER_TABLE_RANK,
     CostBoundExceeded,
+    check_htop_work,
 )
 from .partitions import (
     Bipartition,
     Partition,
     SymComposition,
     enumerate_bipartitions,
-    enumerate_type_c,
     is_type_c,
 )
 
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_RESOURCE = 2
 EXIT_BAD_INPUT = 3
+EXIT_SELF_CHECK = 4
 
 
 def _character_name(rho: Bipartition) -> str:
@@ -117,11 +119,11 @@ def cmd_htop(args) -> int:
     n, d = args.n, args.d
     if n < 0 or d < 0:
         raise ValueError("--n and --d must be nonnegative")
-    if args.orbit is not None:
-        orbits = [_parse_orbit(args.orbit, 2 * d)]
-    else:
-        orbits = enumerate_type_c(2 * d)
-    reports = [geometry.htop_report(a, n, d, args.max_cells) for a in orbits]
+    orbit = None if args.orbit is None else _parse_orbit(args.orbit, 2 * d)
+    check_htop_work(n, d)
+    image = springer.springer_image(d)
+    orbits = list(image) if orbit is None else [orbit]
+    reports = [geometry.htop_report(a, n, d, image[a]) for a in orbits]
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
         return EXIT_OK
@@ -239,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--orbit", help="restrict to one type-C partition, e.g. 2,1,1")
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
     p.set_defaults(func=cmd_htop)
 
     p = sub.add_parser("theta", help="list the coordinate-flag 0/1 matrices")
@@ -269,7 +270,10 @@ def main(argv=None) -> int:
     except CostBoundExceeded as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
+        print(f"self-check failed: {exc}", file=sys.stderr)
+        return EXIT_SELF_CHECK
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

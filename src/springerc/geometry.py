@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .limits import DEFAULT_MAX_CELLS
+from .limits import check_htop_work
 from .partitions import (
     Partition,
     SymComposition,
@@ -162,29 +162,39 @@ class HtopReport:
         }
 
 
-def htop_report(
-    a: Partition, n: int, d: int, max_cells: int = DEFAULT_MAX_CELLS
-) -> HtopReport:
+def htop_report(a: Partition, n: int, d: int, fiber=None) -> HtopReport:
     """Top-homology dimensions of the fiber over the orbit a, per component.
 
     Contributions come from the bipartitions mapping to a; each contributes
-    the graded multiplicities of its dual.  The per-component sum must
-    agree with the closed-form total gl_dim(dual.first, n+1) *
-    gl_dim(dual.second, n), and components whose image closure misses the
-    orbit must come out exactly zero.
+    the graded multiplicities of its dual, whose sum must equal the closed
+    form gl_dim(dual.first, n+1) * gl_dim(dual.second, n).  Components whose
+    image closure misses the orbit must come out exactly zero, and the
+    orbit total is checked against the closed forms once more.
+
+    fiber, when given, is springer_image(d)[a]: a caller building reports
+    for many orbits scans the Springer map once.  Otherwise it is computed
+    with orbit_fiber.
     """
     if a.size() != 2 * d:
         raise ValueError(f"|{a}| = {a.size()} but expected {2 * d}")
     if not is_type_c(a):
         raise ValueError(f"{a} is not a type-C partition")
-    fiber = orbit_fiber(a, d)
+    check_htop_work(n, d)
+    if fiber is None:
+        fiber = orbit_fiber(a, d)
     contributing = []
     graded = []
     for rho in fiber:
         dual = rho.dual()
         closed_dim = gl_dim(dual.first, n + 1) * gl_dim(dual.second, n)
+        g = graded_multiplicity(dual, n, d)
+        if g.total != closed_dim:
+            raise ArithmeticError(
+                f"graded multiplicities of {dual} sum to {g.total}, "
+                f"but the closed form gives {closed_dim}"
+            )
         contributing.append((rho, dual, closed_dim))
-        graded.append(graded_multiplicity(dual, n, d, max_cells))
+        graded.append(g)
     components = enumerate_sym_compositions(n, 2 * d)
     per_component = {}
     degrees = {}

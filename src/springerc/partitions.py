@@ -13,7 +13,6 @@ runs emit byte-identical tables.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
@@ -221,14 +220,44 @@ def enumerate_sym_compositions(n_param: int, big_d: int) -> list[SymComposition]
         raise ValueError("n_param must be nonnegative")
     half = big_d // 2
     out = []
-    for head in itertools.product(range(half + 1), repeat=n_param):
-        s = sum(head)
-        if s > half:
-            continue
-        mid = big_d - 2 * s
-        out.append(SymComposition(head + (mid,) + head[::-1], n_param))
+    for s in range(half + 1):
+        for head in bounded_compositions(s, (half,) * n_param):
+            out.append(SymComposition(head + (big_d - 2 * s,) + head[::-1], n_param))
     out.sort(key=lambda c: c.entries, reverse=True)
     return out
+
+
+def bounded_compositions(total: int, bounds) -> list[tuple[int, ...]]:
+    """All tuples b with 0 <= b[i] <= bounds[i] and sum total, lexicographic-descending.
+
+    Each tuple comes from the previous one by lowering the rightmost entry
+    that can drop by one and refilling the entries after it greedily, so
+    the cost is linear in the size of the output, not in the product of
+    the bounds.
+    """
+    length = len(bounds)
+    room = [0] * (length + 1)  # room[i]: the most the entries from i on can hold
+    for i in range(length - 1, -1, -1):
+        room[i] = room[i + 1] + bounds[i]
+    if not 0 <= total <= room[0]:
+        return []
+    out = []
+    current = [0] * length
+    left, start = total, 0
+    while True:
+        for i in range(start, length):
+            current[i] = min(bounds[i], left)
+            left -= current[i]
+        out.append(tuple(current))
+        suffix = 0
+        for i in range(length - 1, -1, -1):
+            if current[i] and suffix < room[i + 1]:
+                break
+            suffix += current[i]
+        else:
+            return out
+        current[i] -= 1
+        left, start = suffix + 1, i + 1
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:
@@ -269,6 +298,36 @@ def gl_dim(p: Partition, m: int) -> int:
     if numer % denom:
         raise ArithmeticError(f"hook-content division not exact for {p}, m={m}")
     return numer // denom
+
+
+def kostka(shape: Partition, weight) -> int:
+    """Kostka number: semistandard tableaux of the shape with the given content.
+
+    weight is any sequence of nonnegative integers, entry i counting the
+    cells filled with i + 1.  The number does not depend on the order of
+    the entries, so the cache is keyed on the sorted nonzero weight.
+    """
+    if any(x < 0 for x in weight):
+        raise ValueError(f"negative entry in weight {tuple(weight)}")
+    if sum(weight) != shape.size():
+        return 0
+    return _kostka(shape.parts, tuple(sorted((x for x in weight if x), reverse=True)))
+
+
+@lru_cache(maxsize=None)
+def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
+    # weight is a partition of |shape|; the cells holding its last (smallest)
+    # value form a horizontal strip, so peel every such strip off the shape.
+    if not dominance_leq(Partition(weight), Partition(shape)):
+        return 0
+    if len(weight) <= 1:
+        return 1
+    gaps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
+    total = 0
+    for strip in bounded_compositions(weight[-1], gaps):
+        inner = tuple(x for x in (s - r for s, r in zip(shape, strip)) if x)
+        total += _kostka(inner, weight[:-1])
+    return total
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:

@@ -28,7 +28,9 @@ Two commuting structures act on the monomial basis, indexed by tuples
   of sl_N (swap convention side).
 
 All matrices are exact; isotypic projectors are validated idempotent and
-ranks run through fraction-free elimination.
+ranks run through fraction-free elimination.  Multiplicities graded by
+flag component need none of them: they are sums of products of Kostka
+numbers (see graded_multiplicity).
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ from .hyperoctahedral import (
     irr_dim,
     iter_group,
 )
-from .limits import DEFAULT_MAX_CELLS, check_cells
+from .limits import DEFAULT_MAX_CELLS, check_cells, check_htop_work
 from .partitions import (
     Bipartition,
     SymComposition,
+    bounded_compositions,
     enumerate_bipartitions,
     enumerate_sym_compositions,
+    kostka,
 )
 
 CONVENTIONS = ("swap", "sign")
@@ -489,39 +493,30 @@ class GradedDecomposition:
             raise ValueError("total does not match the per-component sum")
 
 
-def graded_multiplicity(
-    rho: Bipartition, n: int, d: int, max_cells: int = DEFAULT_MAX_CELLS
-) -> GradedDecomposition:
+def graded_multiplicity(rho: Bipartition, n: int, d: int) -> GradedDecomposition:
     """Multiplicities of rho in each grading block of the tensor space.
 
-    The sign-convention action preserves the grading, so the projector is
-    block-diagonal; each block rank divided by the irreducible dimension is
-    an exact integer, and the blocks sum to the full multiplicity.
+    Under Schur-Weyl duality the block of the component
+    (w_1..w_n, w_mid, w_n..w_1) is a torus weight space of gl_{n+1} (+) gl_n,
+    so the multiplicity of rho = (mu, nu) there is the weight multiplicity
+
+        sum over beta of K(mu, alpha) * K(nu, beta),
+
+    with K the Kostka number, beta in N^n, beta_i <= w_i, |beta| = |nu| and
+    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  The projector
+    block ranks give the same numbers; they are the reference in the tests.
     """
-    check_cells(n, d, max_cells)
-    acc, dim, _order = _projector_int(rho, n, d, "sign")
-    basis = tensor_basis(n, d)
-    blocks: dict[SymComposition, list[int]] = {}
-    for p, t in enumerate(basis):
-        blocks.setdefault(tensor_grading(t, n), []).append(p)
+    if rho.size() != d:
+        raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
+    check_htop_work(n, d)
+    mu, nu = rho.first, rho.second
     per_weight = {}
-    total = 0
     for dcomp in enumerate_sym_compositions(n, 2 * d):
-        idx = blocks.get(dcomp, [])
-        if not idx:
-            per_weight[dcomp] = 0
-            continue
-        sub = [[acc[i][j] for j in idx] for i in idx]
-        rank = bareiss_rank(sub)
-        if rank % dim:
-            raise ArithmeticError(
-                f"graded rank {rank} of {rho} at {dcomp} not divisible by {dim}"
-            )
-        per_weight[dcomp] = rank // dim
-        total += rank // dim
-    full = projector_rank(rho, n, d, "sign", max_cells)
-    if total * dim != full:
-        raise ArithmeticError(
-            f"graded blocks of {rho} sum to {total} but the full multiplicity is {full // dim}"
+        head = dcomp.entries[:n]
+        half_mid = (dcomp.entries[n] // 2,)
+        per_weight[dcomp] = sum(
+            kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
+            * kostka(nu, beta)
+            for beta in bounded_compositions(nu.size(), head)
         )
-    return GradedDecomposition(per_weight, total)
+    return GradedDecomposition(per_weight, sum(per_weight.values()))

@@ -159,7 +159,7 @@ def suite_springer() -> list[CheckResult]:
         out.append(
             _check(
                 f"fiber coverage report d={d}",
-                True,
+                hit == len(image),
                 f"{hit}/{len(image)} type-C partitions hit",
             )
         )
@@ -219,9 +219,10 @@ def suite_geometry() -> list[CheckResult]:
 
 def suite_schur_weyl() -> list[CheckResult]:
     out = []
+    decompositions = {}
     for n, d in ((1, 1), (1, 2), (2, 2)):
         big_n = 2 * n + 1
-        mults = tensor.schur_weyl_decompose(n, d)
+        mults = decompositions[n, d] = tensor.schur_weyl_decompose(n, d)
         formula_ok = all(
             mult == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
             for rho, mult in mults.items()
@@ -253,11 +254,10 @@ def suite_schur_weyl() -> list[CheckResult]:
     if total != ExactMatrix.identity(25):
         algebra_ok = False
     out.append(_check("projector algebra (orthogonal idempotents summing to 1)", algebra_ok))
-    graded_ok = True
-    for rho in enumerate_bipartitions(2):
-        g = tensor.graded_multiplicity(rho, 2, 2)
-        if g.total != tensor.schur_weyl_decompose(2, 2)[rho]:
-            graded_ok = False
+    graded_ok = all(
+        tensor.graded_multiplicity(rho, 2, 2).total == decompositions[2, 2][rho]
+        for rho in enumerate_bipartitions(2)
+    )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
     flags = tensor.enumerate_flag_matrices(2, 2)
     images = {m.tensor_index() for m in flags}

@@ -50,6 +50,39 @@ def count_semistandard_tableaux(shape: tuple, m: int) -> int:
     return fill(cells, grid)
 
 
+def count_tableaux_with_content(shape: tuple, weight: tuple) -> int:
+    """Count semistandard fillings of shape in which value i+1 occurs weight[i] times.
+
+    Fills cell by cell in reading order, rows weakly and columns strictly
+    increasing, spending the content as it goes; no sorting, no strips.
+    """
+    if sum(shape) != sum(weight):
+        return 0
+    cells = [(i, j) for i in range(len(shape)) for j in range(shape[i])]
+    grid = [[0] * part for part in shape]
+    left = list(weight)
+
+    def fill(k):
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
+        lo = 1
+        if j > 0:
+            lo = max(lo, grid[i][j - 1])
+        if i > 0:
+            lo = max(lo, grid[i - 1][j] + 1)
+        total = 0
+        for v in range(lo, len(weight) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                grid[i][j] = v
+                total += fill(k + 1)
+                left[v - 1] += 1
+        return total
+
+    return fill(0)
+
+
 def naive_rank(rows) -> int:
     """Plain Gaussian elimination over Fractions."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -82,3 +115,29 @@ def dominance_maximal_type_c(p: Partition):
     best = [q for q in below if all(dominance_leq(other, q) for other in below)]
     assert len(best) == 1, f"no unique maximum below {p}"
     return best[0]
+
+
+def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
+    """Reference for tensor.graded_multiplicity: ranks of projector blocks.
+
+    The sign-convention action preserves the grading, so the isotypic
+    projector is block-diagonal; each block rank divided by the irreducible
+    dimension is an exact integer, and the blocks sum to the full
+    multiplicity.  Returns {component: multiplicity}; callers check the sum
+    against the closed form gl_dim(mu, n+1) * gl_dim(nu, n).
+    """
+    from springerc.exact import bareiss_rank
+    from springerc.partitions import enumerate_sym_compositions
+    from springerc.tensor import _projector_int, tensor_basis, tensor_grading
+
+    acc, dim, _order = _projector_int(rho, n, d, "sign")
+    blocks: dict = {}
+    for p, t in enumerate(tensor_basis(n, d)):
+        blocks.setdefault(tensor_grading(t, n), []).append(p)
+    per_weight = {}
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
+        idx = blocks.get(dcomp, [])
+        rank = bareiss_rank([[acc[i][j] for j in idx] for i in idx]) if idx else 0
+        assert rank % dim == 0, f"graded rank {rank} of {rho} at {dcomp} not divisible by {dim}"
+        per_weight[dcomp] = rank // dim
+    return per_weight

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from springerc import geometry, springer, tensor
 from springerc.cli import main
+from springerc.partitions import enumerate_bipartitions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -78,9 +80,64 @@ def test_htop_rejects_non_type_c_orbit(capsys):
 
 
 def test_htop_resource_bound(capsys):
-    code, _, err = run(capsys, "htop", "--n", "5", "--d", "5")
+    code, _, err = run(capsys, "htop", "--n", "6", "--d", "8")
     assert code == 2
     assert "ceiling" in err
+
+
+def test_htop_guard_fires_before_enumeration(capsys, monkeypatch):
+    def refuse(d):
+        raise AssertionError("the Springer scan ran before the cost guard")
+
+    monkeypatch.setattr(springer, "springer_image", refuse)
+    for n, d in (("6", "8"), ("0", "1000000000"), ("1000000000", "0")):
+        code, _, err = run(capsys, "htop", "--n", n, "--d", d)
+        assert code == 2
+        assert "ceiling" in err
+
+
+def test_htop_rank_zero_prints_the_empty_orbit(capsys):
+    code, out, err = run(capsys, "htop", "--n", "1", "--d", "0", "--format", "tsv")
+    assert code == 0
+    assert err == ""
+    assert out == "orbit\tcomponent\tdegree\thtop\torbit_total\n-\t0,0,0\t0\t1\t1\n"
+
+
+def test_htop_scans_each_label_once(capsys, monkeypatch):
+    scans = []
+    real = springer.springer_orbit
+
+    def counted(rho, *args, **kwargs):
+        scans.append(rho)
+        return real(rho, *args, **kwargs)
+
+    monkeypatch.setattr(springer, "springer_orbit", counted)
+    code, _, _ = run(capsys, "htop", "--n", "1", "--d", "3", "--format", "tsv")
+    assert code == 0
+    assert sorted(map(str, scans)) == sorted(map(str, enumerate_bipartitions(3)))
+
+
+def test_failed_self_check_has_its_own_exit_code(capsys, monkeypatch):
+    real = tensor.graded_multiplicity
+
+    def off_by_one(rho, n, d):
+        g = real(rho, n, d)
+        per_weight = dict(g.per_weight)
+        per_weight[next(iter(per_weight))] += 1
+        return tensor.GradedDecomposition(per_weight, g.total + 1)
+
+    monkeypatch.setattr(geometry, "graded_multiplicity", off_by_one)
+    code, out, err = run(capsys, "htop", "--n", "2", "--d", "2")
+    assert code == 4
+    assert out == ""
+    assert "self-check failed" in err
+    assert "Traceback" not in err
+
+
+def test_htop_has_no_cell_ceiling_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["htop", "--n", "2", "--d", "2", "--max-cells", "10"])
+    assert exc.value.code == 2
 
 
 def test_htop_tsv_shape(capsys):
@@ -133,6 +190,20 @@ def test_verify_suites_pass(capsys, suite):
     assert code == 0
     assert "FAIL" not in out
     assert "checks passed" in out
+
+
+def test_fiber_coverage_check_can_fail(capsys, monkeypatch):
+    real = springer.springer_image
+
+    def with_a_gap(d):
+        image = real(d)
+        image[next(iter(image))] = []
+        return image
+
+    monkeypatch.setattr(springer, "springer_image", with_a_gap)
+    code, out, _ = run(capsys, "verify", "springer")
+    assert code == 1
+    assert "FAIL  fiber coverage report d=1" in out
 
 
 def test_outputs_are_deterministic(capsys):

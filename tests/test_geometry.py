@@ -175,6 +175,14 @@ def test_htop_input_validation():
         htop_report(part("2,2"), 2, 3)
 
 
+def test_htop_report_reads_a_given_fiber():
+    from springerc.springer import springer_image
+
+    image = springer_image(2)
+    for a, fiber in image.items():
+        assert htop_report(a, 2, 2, fiber) == htop_report(a, 2, 2)
+
+
 def test_htop_empty_fiber_is_fine():
     # not every type-C partition needs a preimage; the report then carries
     # zero everywhere

@@ -1,14 +1,21 @@
+import itertools
 from collections import Counter
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import count_semistandard_tableaux, count_standard_tableaux, dominance_maximal_type_c
+from oracles import (
+    count_semistandard_tableaux,
+    count_standard_tableaux,
+    count_tableaux_with_content,
+    dominance_maximal_type_c,
+)
 from springerc.partitions import (
     Bipartition,
     Partition,
     SymComposition,
+    bounded_compositions,
     dominance_leq,
     enumerate_bipartitions,
     enumerate_partitions,
@@ -17,6 +24,7 @@ from springerc.partitions import (
     gl_dim,
     hook_lengths,
     is_type_c,
+    kostka,
     num_standard_tableaux,
     type_c_collapse,
 )
@@ -177,6 +185,63 @@ def test_gl_dim_matches_tableau_count():
         for p in enumerate_partitions(n):
             for m in range(5):
                 assert gl_dim(p, m) == count_semistandard_tableaux(p.parts, m), (p, m)
+
+
+def test_kostka_examples():
+    assert kostka(Partition([2, 1]), (1, 1, 1)) == 2
+    assert kostka(Partition([3, 1]), (1, 2, 1)) == 2
+    assert kostka(Partition([2, 2]), (2, 1, 1)) == 1
+    assert kostka(Partition([1, 1]), (2,)) == 0
+    assert kostka(Partition([2]), (1, 0, 1)) == 1
+    assert kostka(Partition(), ()) == kostka(Partition(), (0, 0)) == 1
+    assert kostka(Partition([2]), (1,)) == 0
+    with pytest.raises(ValueError):
+        kostka(Partition([1]), (2, -1))
+
+
+def test_kostka_matches_tableau_enumeration():
+    # every shape of size <= 6 against every weight of length <= 4, zero
+    # entries included
+    for size in range(7):
+        for shape in enumerate_partitions(size):
+            for length in range(5):
+                for weight in itertools.product(range(size + 1), repeat=length):
+                    if sum(weight) == size:
+                        expected = count_tableaux_with_content(shape.parts, weight)
+                        assert kostka(shape, weight) == expected, (shape, weight)
+
+
+def test_kostka_standard_weight_counts_standard_tableaux():
+    for p in enumerate_partitions(7):
+        assert kostka(p, (1,) * 7) == num_standard_tableaux(p)
+
+
+@st.composite
+def shape_and_weight(draw):
+    shape = draw(partition_strategy(max_n=7))
+    length = draw(st.integers(min_value=1, max_value=5))
+    cuts = sorted(
+        draw(st.lists(st.integers(0, shape.size()), min_size=length - 1, max_size=length - 1))
+    )
+    bounds = [0, *cuts, shape.size()]
+    weight = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    return shape, weight, draw(st.permutations(weight))
+
+
+@given(shape_and_weight())
+def test_kostka_does_not_depend_on_weight_order(case):
+    shape, weight, permuted = case
+    value = kostka(shape, weight)
+    assert kostka(shape, tuple(permuted)) == value
+    assert count_tableaux_with_content(shape.parts, tuple(permuted)) == value
+
+
+def test_bounded_compositions_match_filtered_product():
+    for bounds in ((), (0,), (2,), (1, 3), (2, 0, 2), (3, 1, 2, 1)):
+        grid = list(itertools.product(*(range(b + 1) for b in bounds)))
+        for total in range(-1, sum(bounds) + 2):
+            expected = sorted((t for t in grid if sum(t) == total), reverse=True)
+            assert bounded_compositions(total, bounds) == expected, (bounds, total)
 
 
 def test_dominance():

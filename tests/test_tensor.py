@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import graded_multiplicity_by_projector
 from springerc.exact import ExactMatrix
 from springerc.hyperoctahedral import (
     SignedPermutation,
@@ -324,6 +325,32 @@ def test_graded_multiplicity_golden_profiles():
         got = {str(k): v for k, v in g.per_weight.items()}
         assert [got[c] for c in order] == profile, rho_text
         assert g.total == sum(profile)
+
+
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in range(4) for d in range(1, 4)] + [(1, 4)]
+)
+def test_kostka_engine_matches_projector_block_ranks(n, d):
+    for rho in enumerate_bipartitions(d):
+        g = graded_multiplicity(rho, n, d)
+        assert g.per_weight == graded_multiplicity_by_projector(rho, n, d), rho
+        assert g.total == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
+
+
+def test_graded_multiplicity_at_rank_zero():
+    # no projector exists at d = 0; the single component carries the
+    # trivial module once
+    for n in range(3):
+        g = graded_multiplicity(bp("-|-"), n, 0)
+        assert list(g.per_weight.values()) == [1]
+        assert g.total == 1
+
+
+def test_graded_multiplicity_guards():
+    with pytest.raises(ValueError):
+        graded_multiplicity(bp("1|1"), 2, 3)
+    with pytest.raises(CostBoundExceeded):
+        graded_multiplicity(bp("3,3,2|"), 6, 8)
 
 
 def test_graded_blocks_account_for_every_basis_vector():
