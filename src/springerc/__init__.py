@@ -1,78 +1,97 @@
-"""Exact top Borel-Moore homology dimensions of type-C partial Springer fibers."""
+"""Exact top Borel-Moore homology dimensions of type-C partial Springer fibers.
 
-from .exact import ExactMatrix, bareiss_rank
-from .geometry import (
-    ComponentGeometry,
-    HtopReport,
-    OrbitInfo,
-    component_geometry,
-    component_nonempty,
-    flag_dim,
-    htop_report,
-    orbit_dim,
-    orbit_info,
-    richardson,
-    top_degree,
-)
-from .hyperoctahedral import (
-    CharacterTable,
-    SignedCycleType,
-    SignedPermutation,
-    character_table,
-    character_value,
-    class_representative,
-    class_size,
-    coset_permutation_character,
-    cycle_type,
-    decompose_character,
-    generators,
-    group_order,
-    irr_dim,
-    iter_group,
-    multiply,
-    subgroup_index,
-    sym_group_character,
-)
-from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded
-from .partitions import (
-    Bipartition,
-    Partition,
-    SymComposition,
-    dominance_leq,
-    enumerate_bipartitions,
-    enumerate_partitions,
-    enumerate_sym_compositions,
-    enumerate_type_c,
-    gl_dim,
-    hook_lengths,
-    is_type_c,
-    kostka,
-    num_standard_tableaux,
-    type_c_collapse,
-)
-from .springer import (
-    interleave_bipartition,
-    orbit_fiber,
-    springer_image,
-    springer_orbit,
-)
-from .tensor import (
-    FlagMatrix,
-    GradedDecomposition,
-    change_of_basis,
-    enumerate_flag_matrices,
-    flag_tensor_index,
-    g_action_matrix,
-    graded_multiplicity,
-    involution_fixed_generators,
-    isotypic_projector,
-    projector_rank,
-    schur_weyl_decompose,
-    single_factor_change_of_basis,
-    tensor_basis,
-    tensor_grading,
-    w_action_matrix,
-    w_action_monomial,
-)
+The public names below resolve on first use (PEP 562), so ``import
+springerc`` loads no submodule and each CLI command pays only for the
+engine it runs.
+"""
 
+import importlib
+
+_EXPORTS = {
+    "exact": ("ExactMatrix", "bareiss_rank"),
+    "geometry": (
+        "ComponentGeometry",
+        "HtopReport",
+        "OrbitInfo",
+        "component_geometry",
+        "component_nonempty",
+        "flag_dim",
+        "htop_report",
+        "orbit_dim",
+        "orbit_info",
+        "richardson",
+        "top_degree",
+    ),
+    "hyperoctahedral": (
+        "CharacterTable",
+        "SignedCycleType",
+        "SignedPermutation",
+        "character_table",
+        "character_value",
+        "class_representative",
+        "class_size",
+        "coset_permutation_character",
+        "cycle_type",
+        "decompose_character",
+        "generators",
+        "group_order",
+        "iter_group",
+        "multiply",
+        "subgroup_index",
+        "sym_group_character",
+    ),
+    "limits": ("DEFAULT_MAX_CELLS", "CostBoundExceeded"),
+    "partitions": (
+        "Bipartition",
+        "GradedDecomposition",
+        "Partition",
+        "SymComposition",
+        "dominance_leq",
+        "enumerate_bipartitions",
+        "enumerate_partitions",
+        "enumerate_sym_compositions",
+        "enumerate_type_c",
+        "gl_dim",
+        "graded_multiplicity",
+        "hook_lengths",
+        "irr_dim",
+        "is_type_c",
+        "kostka",
+        "num_standard_tableaux",
+        "type_c_collapse",
+    ),
+    "springer": (
+        "interleave_bipartition",
+        "orbit_fiber",
+        "springer_image",
+        "springer_orbit",
+    ),
+    "tensor": (
+        "FlagMatrix",
+        "change_of_basis",
+        "enumerate_flag_matrices",
+        "flag_tensor_index",
+        "g_action_matrix",
+        "involution_fixed_generators",
+        "isotypic_projector",
+        "projector_rank",
+        "schur_weyl_decompose",
+        "single_factor_change_of_basis",
+        "tensor_basis",
+        "tensor_grading",
+        "w_action_matrix",
+        "w_action_monomial",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -12,27 +12,22 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded,
 3 invalid input, 4 internal self-check failed (a bug, never the input's
 fault).  All output is deterministic.
+
+Each process runs one command, so each command imports the modules it
+needs when it runs: ``--help`` loads no engine, and ``htop`` and
+``springer`` never load the tensor, group or exact-matrix code.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import geometry, hyperoctahedral as ho, springer, tensor, verify
 from .limits import (
     DEFAULT_MAX_CELLS,
     MAX_SPRINGER_TABLE_RANK,
     CostBoundExceeded,
     check_htop_work,
-)
-from .partitions import (
-    Bipartition,
-    Partition,
-    SymComposition,
-    enumerate_bipartitions,
-    is_type_c,
 )
 
 EXIT_OK = 0
@@ -42,7 +37,7 @@ EXIT_BAD_INPUT = 3
 EXIT_SELF_CHECK = 4
 
 
-def _character_name(rho: Bipartition) -> str:
+def _character_name(rho) -> str:
     """Human-readable names for the recognizable characters, else '-'."""
     d = rho.size()
     first, second = rho.first.parts, rho.second.parts
@@ -63,6 +58,12 @@ def _character_name(rho: Bipartition) -> str:
     return "-"
 
 
+def _print_json(payload) -> None:
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _format_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
     if fmt == "tsv":
         lines = ["\t".join(header)]
@@ -79,6 +80,9 @@ def _format_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 
 def cmd_springer(args) -> int:
+    from .partitions import enumerate_bipartitions, irr_dim
+    from .springer import springer_orbit
+
     d = args.d
     if d < 0:
         raise ValueError("--d must be nonnegative")
@@ -90,13 +94,13 @@ def cmd_springer(args) -> int:
             {
                 "label": str(rho),
                 "name": _character_name(rho),
-                "dim": ho.irr_dim(rho),
-                "orbit": str(springer.springer_orbit(rho)),
+                "dim": irr_dim(rho),
+                "orbit": str(springer_orbit(rho)),
             }
         )
     if args.format == "json":
         payload = [{"label": r["label"], "dim": r["dim"], "orbit": r["orbit"]} for r in rows]
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     elif args.format == "tsv":
         table = [[r["label"], str(r["dim"]), r["orbit"]] for r in rows]
         sys.stdout.write(_format_table(["label", "dim", "orbit"], table, "tsv"))
@@ -108,7 +112,9 @@ def cmd_springer(args) -> int:
     return EXIT_OK
 
 
-def _parse_orbit(text: str, two_d: int) -> Partition:
+def _parse_orbit(text: str, two_d: int):
+    from .partitions import Partition, is_type_c
+
     orbit = Partition.from_string(text)
     if orbit.size() != two_d or not is_type_c(orbit):
         raise ValueError(f"{text!r} is not a type-C partition of {two_d}")
@@ -116,6 +122,8 @@ def _parse_orbit(text: str, two_d: int) -> Partition:
 
 
 def cmd_htop(args) -> int:
+    from . import geometry, springer
+
     n, d = args.n, args.d
     if n < 0 or d < 0:
         raise ValueError("--n and --d must be nonnegative")
@@ -125,7 +133,7 @@ def cmd_htop(args) -> int:
     orbits = list(image) if orbit is None else [orbit]
     reports = [geometry.htop_report(a, n, d, image[a]) for a in orbits]
     if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+        _print_json([r.to_json_dict() for r in reports])
         return EXIT_OK
     if args.format == "tsv":
         rows = []
@@ -169,6 +177,9 @@ def cmd_htop(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from .partitions import SymComposition
+    from .tensor import enumerate_flag_matrices
+
     n, d = args.n, args.d
     if n < 0 or d < 0:
         raise ValueError("--n and --d must be nonnegative")
@@ -179,7 +190,7 @@ def cmd_theta(args) -> int:
             raise ValueError(
                 f"component {args.component!r} does not match n={n}, total {2 * d}"
             )
-    matrices = tensor.enumerate_flag_matrices(n, d, dcomp, args.max_cells)
+    matrices = enumerate_flag_matrices(n, d, dcomp, args.max_cells)
     if args.format == "json":
         payload = {
             "count": len(matrices),
@@ -192,7 +203,7 @@ def cmd_theta(args) -> int:
                 for m in matrices
             ],
         }
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
         return EXIT_OK
     if args.format == "tsv":
         rows = [
@@ -216,7 +227,9 @@ def cmd_theta(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite)
+    from .verify import run_suite
+
+    results = run_suite(args.suite)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.ok]

@@ -24,11 +24,11 @@ from .partitions import (
     dominance_leq,
     enumerate_sym_compositions,
     gl_dim,
+    graded_multiplicity,
     is_type_c,
     type_c_collapse,
 )
 from .springer import orbit_fiber
-from .tensor import graded_multiplicity
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,11 @@ def top_degree(a: Partition, dcomp: SymComposition) -> int:
     """
     if not component_nonempty(a, dcomp):
         raise ValueError(f"orbit {a} does not meet the image of component {dcomp}")
-    c = (2 * flag_dim(dcomp) - orbit_dim(a)) // 2
+    return _semismall_degree(orbit_dim(a), dcomp)
+
+
+def _semismall_degree(a_dim: int, dcomp: SymComposition) -> int:
+    c = (2 * flag_dim(dcomp) - a_dim) // 2
     return 2 * c
 
 
@@ -195,18 +199,20 @@ def htop_report(a: Partition, n: int, d: int, fiber=None) -> HtopReport:
             )
         contributing.append((rho, dual, closed_dim))
         graded.append(g)
-    components = enumerate_sym_compositions(n, 2 * d)
+    a_dim = orbit_dim(a)
     per_component = {}
     degrees = {}
-    for dcomp in components:
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
         value = sum(g.per_weight[dcomp] for g in graded)
-        nonempty = component_nonempty(a, dcomp)
+        # richardson self-checks the component's orbit dimension; one call
+        # decides emptiness and the degree.
+        nonempty = dominance_leq(a, richardson(dcomp))
         if not nonempty and value != 0:
             raise ArithmeticError(
                 f"component {dcomp} misses orbit {a} but carries multiplicity {value}"
             )
         per_component[dcomp] = value
-        degrees[dcomp] = top_degree(a, dcomp) if nonempty else None
+        degrees[dcomp] = _semismall_degree(a_dim, dcomp) if nonempty else None
     total_graded = sum(per_component.values())
     total_closed = sum(dim for _, _, dim in contributing)
     if total_graded != total_closed:

@@ -33,13 +33,8 @@ from functools import lru_cache
 from math import factorial
 
 from .limits import MAX_CHARACTER_TABLE_RANK, CostBoundExceeded
-from .partitions import (
-    Bipartition,
-    Partition,
-    binomial,
-    enumerate_bipartitions,
-    num_standard_tableaux,
-)
+from .partitions import Bipartition, Partition, enumerate_bipartitions
+from .partitions import irr_dim  # noqa: F401  (kept importable here)
 
 
 class SignedPermutation:
@@ -227,16 +222,6 @@ def class_size(cls: SignedCycleType) -> int:
         for k, m in partition.multiplicities().items():
             z *= (2 * k) ** m * factorial(m)
     return group_order(cls.total) // z
-
-
-def irr_dim(rho: Bipartition) -> int:
-    """binomial(d, |first|) * f^first * f^second."""
-    d = rho.size()
-    return (
-        binomial(d, rho.first.size())
-        * num_standard_tableaux(rho.first)
-        * num_standard_tableaux(rho.second)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,9 @@
 """Integer partitions, bipartitions, and symmetric compositions.
 
+Also the counts built from them: tableau numbers, the dimensions of the
+signed-permutation irreducibles and of gl_m modules, Kostka numbers, and
+the Kostka engine for multiplicities graded by flag component.
+
 Text formats used by the CLI and all golden files:
 
 * partition: comma-separated descending parts, ``2,1,1``; the empty
@@ -16,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+
+from .limits import check_htop_work
 
 
 class Partition:
@@ -212,8 +218,14 @@ def enumerate_type_c(two_d: int) -> list[Partition]:
     return [p for p in enumerate_partitions(two_d) if is_type_c(p)]
 
 
-def enumerate_sym_compositions(n_param: int, big_d: int) -> list[SymComposition]:
-    """All mirror-symmetric compositions of big_d with 2*n_param+1 entries."""
+@lru_cache(maxsize=None)
+def enumerate_sym_compositions(n_param: int, big_d: int) -> tuple[SymComposition, ...]:
+    """All mirror-symmetric compositions of big_d with 2*n_param+1 entries.
+
+    Every multiplicity and report of one htop table walks the same
+    components, so they are built once per (n_param, big_d) and shared as
+    a tuple.
+    """
     if big_d % 2:
         raise ValueError(f"total {big_d} must be even")
     if n_param < 0:
@@ -224,7 +236,7 @@ def enumerate_sym_compositions(n_param: int, big_d: int) -> list[SymComposition]
         for head in bounded_compositions(s, (half,) * n_param):
             out.append(SymComposition(head + (big_d - 2 * s,) + head[::-1], n_param))
     out.sort(key=lambda c: c.entries, reverse=True)
-    return out
+    return tuple(out)
 
 
 def bounded_compositions(total: int, bounds) -> list[tuple[int, ...]]:
@@ -276,6 +288,18 @@ def num_standard_tableaux(p: Partition) -> int:
         for h in row:
             prod *= h
     return factorial(p.size()) // prod
+
+
+def irr_dim(rho: Bipartition) -> int:
+    """Dimension of the signed-permutation irreducible labelled rho.
+
+    binomial(d, |first|) * f^first * f^second.
+    """
+    return (
+        comb(rho.size(), rho.first.size())
+        * num_standard_tableaux(rho.first)
+        * num_standard_tableaux(rho.second)
+    )
 
 
 def gl_dim(p: Partition, m: int) -> int:
@@ -330,6 +354,47 @@ def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     return total
 
 
+@dataclass(frozen=True)
+class GradedDecomposition:
+    """Component-by-component multiplicities of one isotypic piece."""
+
+    per_weight: dict
+    total: int
+
+    def __post_init__(self):
+        if self.total != sum(self.per_weight.values()):
+            raise ValueError("total does not match the per-component sum")
+
+
+def graded_multiplicity(rho: Bipartition, n: int, d: int) -> GradedDecomposition:
+    """Multiplicities of rho in each grading block of the tensor space.
+
+    Under Schur-Weyl duality the block of the component
+    (w_1..w_n, w_mid, w_n..w_1) is a torus weight space of gl_{n+1} (+) gl_n,
+    so the multiplicity of rho = (mu, nu) there is the weight multiplicity
+
+        sum over beta of K(mu, alpha) * K(nu, beta),
+
+    with K the Kostka number, beta in N^n, beta_i <= w_i, |beta| = |nu| and
+    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  The projector
+    block ranks give the same numbers; they are the reference in the tests.
+    """
+    if rho.size() != d:
+        raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
+    check_htop_work(n, d)
+    mu, nu = rho.first, rho.second
+    per_weight = {}
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
+        head = dcomp.entries[:n]
+        half_mid = (dcomp.entries[n] // 2,)
+        per_weight[dcomp] = sum(
+            kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
+            * kostka(nu, beta)
+            for beta in bounded_compositions(nu.size(), head)
+        )
+    return GradedDecomposition(per_weight, sum(per_weight.values()))
+
+
 def dominance_leq(a: Partition, b: Partition) -> bool:
     """True iff every prefix sum of a is at most the matching prefix sum of b."""
     if a.size() != b.size():
@@ -380,7 +445,3 @@ def _multiplicities(parts) -> dict[int, int]:
     for x in parts:
         out[x] = out.get(x, 0) + 1
     return out
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)

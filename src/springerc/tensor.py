@@ -30,7 +30,8 @@ Two commuting structures act on the monomial basis, indexed by tuples
 All matrices are exact; isotypic projectors are validated idempotent and
 ranks run through fraction-free elimination.  Multiplicities graded by
 flag component need none of them: they are sums of products of Kostka
-numbers (see graded_multiplicity).
+numbers, computed by partitions.graded_multiplicity (still importable from
+here).
 """
 
 from __future__ import annotations
@@ -47,18 +48,11 @@ from .hyperoctahedral import (
     cycle_type,
     generators,
     group_order,
-    irr_dim,
     iter_group,
 )
-from .limits import DEFAULT_MAX_CELLS, check_cells, check_htop_work
-from .partitions import (
-    Bipartition,
-    SymComposition,
-    bounded_compositions,
-    enumerate_bipartitions,
-    enumerate_sym_compositions,
-    kostka,
-)
+from .limits import DEFAULT_MAX_CELLS, check_cells
+from .partitions import Bipartition, SymComposition, enumerate_bipartitions, irr_dim
+from .partitions import GradedDecomposition, graded_multiplicity  # noqa: F401  (kept importable here)
 
 CONVENTIONS = ("swap", "sign")
 
@@ -479,44 +473,3 @@ def schur_weyl_decompose(
             )
         out[rho] = rank // dim
     return out
-
-
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Component-by-component multiplicities of one isotypic piece."""
-
-    per_weight: dict
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.per_weight.values()):
-            raise ValueError("total does not match the per-component sum")
-
-
-def graded_multiplicity(rho: Bipartition, n: int, d: int) -> GradedDecomposition:
-    """Multiplicities of rho in each grading block of the tensor space.
-
-    Under Schur-Weyl duality the block of the component
-    (w_1..w_n, w_mid, w_n..w_1) is a torus weight space of gl_{n+1} (+) gl_n,
-    so the multiplicity of rho = (mu, nu) there is the weight multiplicity
-
-        sum over beta of K(mu, alpha) * K(nu, beta),
-
-    with K the Kostka number, beta in N^n, beta_i <= w_i, |beta| = |nu| and
-    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  The projector
-    block ranks give the same numbers; they are the reference in the tests.
-    """
-    if rho.size() != d:
-        raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
-    check_htop_work(n, d)
-    mu, nu = rho.first, rho.second
-    per_weight = {}
-    for dcomp in enumerate_sym_compositions(n, 2 * d):
-        head = dcomp.entries[:n]
-        half_mid = (dcomp.entries[n] // 2,)
-        per_weight[dcomp] = sum(
-            kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
-            * kostka(nu, beta)
-            for beta in bounded_compositions(nu.size(), head)
-        )
-    return GradedDecomposition(per_weight, sum(per_weight.values()))

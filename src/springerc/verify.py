@@ -17,6 +17,8 @@ from .partitions import (
     enumerate_sym_compositions,
     enumerate_type_c,
     gl_dim,
+    graded_multiplicity,
+    irr_dim,
     is_type_c,
 )
 
@@ -49,7 +51,7 @@ def suite_characters() -> list[CheckResult]:
                 f"sum of class sizes vs {order}",
             )
         )
-        dims_ok = all(table.dim(rho) == ho.irr_dim(rho) for rho in table.rows)
+        dims_ok = all(table.dim(rho) == irr_dim(rho) for rho in table.rows)
         out.append(_check(f"identity column equals dims d={d}", dims_ok))
         sq = sum(table.dim(rho) ** 2 for rho in table.rows)
         out.append(_check(f"sum of dim^2 d={d}", sq == order, f"{sq} vs {order}"))
@@ -228,7 +230,7 @@ def suite_schur_weyl() -> list[CheckResult]:
             for rho, mult in mults.items()
         )
         out.append(_check(f"multiplicities match weight dimensions n={n} d={d}", formula_ok))
-        mass = sum(ho.irr_dim(rho) * mult for rho, mult in mults.items())
+        mass = sum(irr_dim(rho) * mult for rho, mult in mults.items())
         out.append(
             _check(
                 f"dimension count n={n} d={d}",
@@ -255,7 +257,7 @@ def suite_schur_weyl() -> list[CheckResult]:
         algebra_ok = False
     out.append(_check("projector algebra (orthogonal idempotents summing to 1)", algebra_ok))
     graded_ok = all(
-        tensor.graded_multiplicity(rho, 2, 2).total == decompositions[2, 2][rho]
+        graded_multiplicity(rho, 2, 2).total == decompositions[2, 2][rho]
         for rho in enumerate_bipartitions(2)
     )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))

@@ -141,3 +141,30 @@ def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
         assert rank % dim == 0, f"graded rank {rank} of {rho} at {dcomp} not divisible by {dim}"
         per_weight[dcomp] = rank // dim
     return per_weight
+
+
+def _n_statistic(parts) -> int:
+    """n(lambda): the sum of (row index) * (row length), rows counted from 0."""
+    return sum(i * part for i, part in enumerate(parts))
+
+
+def b_invariant(rho) -> int:
+    """Lowest degree of the coinvariant algebra holding the character (mu, nu).
+
+    In this labelling (flip twist on the first component) it is
+    2n(mu) + 2n(nu) + |mu|: 0 for the trivial character (-, (d)), d^2 for
+    the sign character.
+    """
+    return 2 * _n_statistic(rho.first.parts) + 2 * _n_statistic(rho.second.parts) + rho.first.size()
+
+
+def springer_fiber_dim(a: Partition) -> int:
+    """dim B_u for a nilpotent of sp_{2d} with type-C partition a.
+
+    From the centralizer dimension (sum of squared dual parts + odd parts)/2:
+    dim B_u = (2 n(a) + number of odd parts) / 4, which is also
+    (2d^2 - dim O)/2.
+    """
+    four_dim = 2 * _n_statistic(a.parts) + sum(1 for part in a.parts if part % 2)
+    assert four_dim % 4 == 0, f"dim B_u of {a} is not an integer"
+    return four_dim // 4

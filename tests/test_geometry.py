@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from springerc import geometry
 from springerc.geometry import (
     component_geometry,
     component_nonempty,
@@ -194,3 +195,18 @@ def test_htop_empty_fiber_is_fine():
             if not fiber:
                 report = htop_report(a, 2, d)
                 assert report.total == 0
+
+
+def test_htop_report_finds_each_richardson_orbit_once(monkeypatch):
+    calls = []
+    real = geometry.richardson
+
+    def counted(dcomp):
+        calls.append(dcomp)
+        return real(dcomp)
+
+    monkeypatch.setattr(geometry, "richardson", counted)
+    for a in enumerate_type_c(4):
+        calls.clear()
+        htop_report(a, 2, 2)
+        assert sorted(calls, key=str) == sorted(Q54.values(), key=str), a

@@ -136,6 +136,9 @@ def test_enumerate_sym_compositions_worked_case():
     assert {c.entries for c in enumerate_sym_compositions(1, 2)} == {(1, 0, 1), (0, 2, 0)}
     with pytest.raises(ValueError):
         enumerate_sym_compositions(2, 3)
+    # built once per (n, total) and shared, so callers cannot mutate it
+    assert enumerate_sym_compositions(2, 4) is enumerate_sym_compositions(2, 4)
+    assert isinstance(enumerate_sym_compositions(2, 4), tuple)
 
 
 def test_sym_composition_validation():
