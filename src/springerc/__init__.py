@@ -11,15 +11,19 @@ _EXPORTS = {
     "exact": ("ExactMatrix", "bareiss_rank"),
     "geometry": (
         "ComponentGeometry",
+        "FlagMatrix",
         "HtopReport",
         "OrbitInfo",
         "component_geometry",
         "component_nonempty",
+        "enumerate_flag_matrices",
         "flag_dim",
         "htop_report",
+        "iter_flag_matrices",
         "orbit_dim",
         "orbit_info",
         "richardson",
+        "tensor_grading",
         "top_degree",
     ),
     "hyperoctahedral": (
@@ -67,10 +71,7 @@ _EXPORTS = {
         "springer_orbit",
     ),
     "tensor": (
-        "FlagMatrix",
         "change_of_basis",
-        "enumerate_flag_matrices",
-        "flag_tensor_index",
         "g_action_matrix",
         "involution_fixed_generators",
         "isotypic_projector",
@@ -78,7 +79,6 @@ _EXPORTS = {
         "schur_weyl_decompose",
         "single_factor_change_of_basis",
         "tensor_basis",
-        "tensor_grading",
         "w_action_matrix",
         "w_action_monomial",
     ),

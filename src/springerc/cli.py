@@ -14,13 +14,16 @@ Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded,
 fault).  All output is deterministic.
 
 Each process runs one command, so each command imports the modules it
-needs when it runs: ``--help`` loads no engine, and ``htop`` and
-``springer`` never load the tensor, group or exact-matrix code.
+needs when it runs: ``--help`` loads no engine, and ``htop``, ``springer``
+and ``theta`` never load the tensor, group or exact-matrix code.  ``theta``
+writes its rows as the flag matrices are built, so its tsv and pretty
+tables take constant memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from .limits import (
@@ -35,6 +38,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_RESOURCE = 2
 EXIT_BAD_INPUT = 3
 EXIT_SELF_CHECK = 4
+
+WRITE_BLOCK = 1024  # rows (or JSON tokens) joined into one stdout write
 
 
 def _character_name(rho) -> str:
@@ -58,10 +63,22 @@ def _character_name(rho) -> str:
     return "-"
 
 
+def _write_blocks(chunks) -> None:
+    """Write the strings to stdout, WRITE_BLOCK of them joined per write.
+
+    Stdout may be unbuffered (PYTHONUNBUFFERED), where every write is a
+    system call, so a row-at-a-time table would pay one per row.
+    """
+    chunks = iter(chunks)
+    for first in chunks:
+        sys.stdout.write(first + "".join(itertools.islice(chunks, WRITE_BLOCK - 1)))
+
+
 def _print_json(payload) -> None:
     import json
 
-    print(json.dumps(payload, indent=2))
+    _write_blocks(json.JSONEncoder(indent=2).iterencode(payload))
+    sys.stdout.write("\n")
 
 
 def _format_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
@@ -177,8 +194,8 @@ def cmd_htop(args) -> int:
 
 
 def cmd_theta(args) -> int:
+    from .geometry import iter_flag_matrices
     from .partitions import SymComposition
-    from .tensor import enumerate_flag_matrices
 
     n, d = args.n, args.d
     if n < 0 or d < 0:
@@ -190,39 +207,43 @@ def cmd_theta(args) -> int:
             raise ValueError(
                 f"component {args.component!r} does not match n={n}, total {2 * d}"
             )
-    matrices = enumerate_flag_matrices(n, d, dcomp, args.max_cells)
+    # Every check runs here, before the first byte of output.
+    matrices = iter_flag_matrices(n, d, dcomp, args.max_cells)
+    gradings: dict[tuple[int, ...], str] = {}
+
+    def grading(m) -> str:
+        # Few distinct gradings occur, so each is built and validated once.
+        sums = m.row_sums()
+        if sums not in gradings:
+            gradings[sums] = str(m.grading())
+        return gradings[sums]
+
+    def joined(values) -> str:
+        return ",".join(map(str, values))
+
     if args.format == "json":
-        payload = {
-            "count": len(matrices),
-            "matrices": [
-                {
-                    "columns": list(m.col_rows),
-                    "chi": ",".join(str(x) for x in m.tensor_index()),
-                    "grading": str(m.grading()),
-                }
-                for m in matrices
-            ],
-        }
-        _print_json(payload)
-        return EXIT_OK
-    if args.format == "tsv":
         rows = [
-            [
-                ",".join(str(x) for x in m.col_rows),
-                ",".join(str(x) for x in m.tensor_index()),
-                str(m.grading()),
-            ]
+            {"columns": list(m.col_rows), "chi": joined(m.tensor_index()), "grading": grading(m)}
             for m in matrices
         ]
-        rows.append(["count", str(len(matrices)), ""])
-        sys.stdout.write(_format_table(["columns", "chi", "grading"], rows, "tsv"))
+        _print_json({"count": len(rows), "matrices": rows})
         return EXIT_OK
-    for k, m in enumerate(matrices, 1):
-        chi = ",".join(str(x) for x in m.tensor_index())
-        print(f"matrix {k}: chi {chi}  grading {m.grading()}")
-        for row in m.entries():
-            print("  " + " ".join(str(x) for x in row))
-    print(f"count {len(matrices)}")
+
+    def tsv():
+        yield "columns\tchi\tgrading\n"
+        count = 0
+        for count, m in enumerate(matrices, 1):
+            yield f"{joined(m.col_rows)}\t{joined(m.tensor_index())}\t{grading(m)}\n"
+        yield f"count\t{count}\t\n"
+
+    def pretty():
+        count = 0
+        for count, m in enumerate(matrices, 1):
+            grid = "".join(f"  {' '.join(map(str, row))}\n" for row in m.entries())
+            yield f"matrix {count}: chi {joined(m.tensor_index())}  grading {grading(m)}\n{grid}"
+        yield f"count {count}\n"
+
+    _write_blocks(tsv() if args.format == "tsv" else pretty())
     return EXIT_OK
 
 

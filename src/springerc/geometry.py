@@ -4,20 +4,27 @@ The image of each partial-flag component under the moment map is the
 closure of a Richardson orbit, computed here as the type-C collapse of the
 dual of the sorted composition.  Its dimension must equal twice the flag
 variety dimension (computed independently from the isotropic-Grassmannian
-fibration), so the two formulas check each other on every call.
+fibration), so the two formulas check each other on every component.
 
 Top Borel-Moore homology sits in real degree 2c where c is the semismall
 bound (image dimension minus orbit dimension, halved).  The predicted
 dimension of that group, orbit by orbit and component by component, comes
 from the graded isotypic multiplicities of the dual bipartitions in the
 tensor bimodule.
+
+Each component holds coordinate flags, 0/1 matrices whose first d columns
+form a monomial basis index of the tensor space and whose row sums are the
+component's composition.  iter_flag_matrices builds them one at a time, so
+listing them all takes constant memory.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .limits import check_htop_work
+from .limits import DEFAULT_MAX_CELLS, check_cells, check_htop_work
 from .partitions import (
     Partition,
     SymComposition,
@@ -44,6 +51,96 @@ class ComponentGeometry:
     flag_dim: int
     image_dim: int
     richardson: Partition
+
+
+def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
+    """Component weights: entry i counts slots equal to i or to N+1-i."""
+    big_n = 2 * n + 1
+    counts = [0] * big_n
+    for v in idx:
+        counts[v - 1] += 1
+        counts[big_n - v] += 1
+    return SymComposition(counts, n)
+
+
+@dataclass(frozen=True)
+class FlagMatrix:
+    """A 0/1 matrix of shape N x 2d encoding a coordinate isotropic flag.
+
+    Column j carries a single 1, in row col_rows[j-1]; the rows of the last
+    d columns are forced by the centro-symmetry a[i][j] = a[N+1-i][2d+1-j].
+    Row i sums to the i-th entry of the attached symmetric composition.
+    """
+
+    n: int
+    d: int
+    col_rows: tuple[int, ...]
+
+    def __post_init__(self):
+        big_n, rows = 2 * self.n + 1, tuple(self.col_rows)
+        if len(rows) != 2 * self.d:
+            raise ValueError(f"need {2 * self.d} columns, got {len(rows)}")
+        if rows and not (1 <= min(rows) and max(rows) <= big_n):
+            raise ValueError(f"row index out of range in {self.col_rows}")
+        if rows[::-1] != tuple(big_n + 1 - r for r in rows):
+            raise ValueError(f"columns not centro-symmetric: {self.col_rows}")
+
+    def tensor_index(self) -> tuple[int, ...]:
+        """The monomial basis index read off the first d columns."""
+        return self.col_rows[: self.d]
+
+    def row_sums(self) -> tuple[int, ...]:
+        counts = [0] * (2 * self.n + 1)
+        for r in self.col_rows:
+            counts[r - 1] += 1
+        return tuple(counts)
+
+    def grading(self) -> SymComposition:
+        return SymComposition(self.row_sums(), self.n)
+
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        big_n, big_d = 2 * self.n + 1, 2 * self.d
+        return tuple(
+            tuple(1 if self.col_rows[j] == i + 1 else 0 for j in range(big_d))
+            for i in range(big_n)
+        )
+
+
+def iter_flag_matrices(
+    n: int,
+    d: int,
+    dcomp: SymComposition | None = None,
+    max_cells: int = DEFAULT_MAX_CELLS,
+):
+    """Iterate over the flag matrices, optionally those of one component.
+
+    The first d columns range freely over rows 1..N in ascending lex order
+    and determine the rest, so the full count is N^d.  The cell ceiling and
+    the component are checked when this is called, before the first
+    matrix is asked for; the matrices are then built one at a time.
+    """
+    check_cells(n, d, max_cells)
+    if dcomp is not None and (dcomp.n != n or dcomp.total != 2 * d):
+        raise ValueError(f"component {dcomp} does not match n={n}, total {2 * d}")
+    return _flag_matrices(n, d, None if dcomp is None else dcomp.entries)
+
+
+def _flag_matrices(n: int, d: int, row_sums):
+    big_n = 2 * n + 1
+    for head in itertools.product(range(1, big_n + 1), repeat=d):
+        m = FlagMatrix(n, d, head + tuple(big_n + 1 - v for v in reversed(head)))
+        if row_sums is None or m.row_sums() == row_sums:
+            yield m
+
+
+def enumerate_flag_matrices(
+    n: int,
+    d: int,
+    dcomp: SymComposition | None = None,
+    max_cells: int = DEFAULT_MAX_CELLS,
+) -> list[FlagMatrix]:
+    """All flag matrices, optionally restricted to one component, as a list."""
+    return list(iter_flag_matrices(n, d, dcomp, max_cells))
 
 
 def orbit_dim(a: Partition) -> int:
@@ -91,12 +188,15 @@ def flag_dim(dcomp: SymComposition) -> int:
     return dim
 
 
+@lru_cache(maxsize=None)
 def richardson(dcomp: SymComposition) -> Partition:
     """The dense orbit in the moment-map image of the component.
 
     Computed as the type-C collapse of the dual of the sorted entries; the
     result is cross-checked against the independent flag-dimension formula
-    (orbit dimension must be exactly twice the flag dimension).
+    (orbit dimension must be exactly twice the flag dimension).  The orbit
+    depends on the component alone, so it is found, and checked, once per
+    component per process; a failed check caches nothing.
     """
     sorted_parts = Partition(sorted(dcomp.entries, reverse=True))
     orbit = type_c_collapse(sorted_parts.dual())

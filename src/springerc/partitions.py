@@ -30,12 +30,16 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(x) for x in parts)
-        if any(x < 0 for x in parts):
+        # The engine builds tens of thousands of partitions per table, so
+        # each check is one pass in C.
+        parts = tuple(map(int, parts))
+        if parts and min(parts) < 0:
             raise ValueError(f"negative part in {parts}")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(int.__lt__, parts, parts[1:])):
             raise ValueError(f"parts not weakly decreasing: {parts}")
-        object.__setattr__(self, "parts", tuple(x for x in parts if x > 0))
+        if parts and not parts[-1]:
+            parts = parts[: parts.index(0)]  # the zeros are a trailing block
+        object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("Partition is immutable")

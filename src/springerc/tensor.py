@@ -7,8 +7,8 @@ Two commuting structures act on the monomial basis, indexed by tuples
 
   - ``swap``: the underlying permutation permutes tensor slots and the flip
     at slot k replaces i_k by N+1-i_k.  This is the action transported from
-    the coordinate-flag model below, so it is a pure permutation of basis
-    vectors.
+    the coordinate-flag model (geometry.FlagMatrix), so it is a pure
+    permutation of basis vectors.
   - ``sign``: slots are permuted the same way but the flip at slot k scales
     the basis vector by -1 exactly when i_k lies in 1..n+1.  The negated
     block is the (n+1)-dimensional one: with the flip twist of the
@@ -31,17 +31,23 @@ All matrices are exact; isotypic projectors are validated idempotent and
 ranks run through fraction-free elimination.  Multiplicities graded by
 flag component need none of them: they are sums of products of Kostka
 numbers, computed by partitions.graded_multiplicity (still importable from
-here).
+here).  The coordinate-flag matrices indexing the monomial basis live in
+geometry and are importable from here too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exact import ExactMatrix, bareiss_rank
+from .geometry import (  # noqa: F401  (kept importable here)
+    FlagMatrix,
+    enumerate_flag_matrices,
+    iter_flag_matrices,
+    tensor_grading,
+)
 from .hyperoctahedral import (
     SignedPermutation,
     character_table,
@@ -51,7 +57,7 @@ from .hyperoctahedral import (
     iter_group,
 )
 from .limits import DEFAULT_MAX_CELLS, check_cells
-from .partitions import Bipartition, SymComposition, enumerate_bipartitions, irr_dim
+from .partitions import Bipartition, enumerate_bipartitions, irr_dim
 from .partitions import GradedDecomposition, graded_multiplicity  # noqa: F401  (kept importable here)
 
 CONVENTIONS = ("swap", "sign")
@@ -67,92 +73,6 @@ def tensor_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def basis_positions(n: int, d: int) -> dict:
     return {t: i for i, t in enumerate(tensor_basis(n, d))}
-
-
-def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
-    """Component weights: entry i counts slots equal to i or to N+1-i."""
-    big_n = 2 * n + 1
-    counts = [0] * big_n
-    for v in idx:
-        counts[v - 1] += 1
-        counts[big_n - v] += 1
-    return SymComposition(counts, n)
-
-
-@dataclass(frozen=True)
-class FlagMatrix:
-    """A 0/1 matrix of shape N x 2d encoding a coordinate isotropic flag.
-
-    Column j carries a single 1, in row col_rows[j-1]; the rows of the last
-    d columns are forced by the centro-symmetry a[i][j] = a[N+1-i][2d+1-j].
-    Row i sums to the i-th entry of the attached symmetric composition.
-    """
-
-    n: int
-    d: int
-    col_rows: tuple[int, ...]
-
-    def __post_init__(self):
-        big_n, big_d = 2 * self.n + 1, 2 * self.d
-        if len(self.col_rows) != big_d:
-            raise ValueError(f"need {big_d} columns, got {len(self.col_rows)}")
-        if any(not 1 <= r <= big_n for r in self.col_rows):
-            raise ValueError(f"row index out of range in {self.col_rows}")
-        for j in range(big_d):
-            if self.col_rows[big_d - 1 - j] != big_n + 1 - self.col_rows[j]:
-                raise ValueError(f"columns not centro-symmetric: {self.col_rows}")
-
-    def tensor_index(self) -> tuple[int, ...]:
-        """The monomial basis index read off the first d columns."""
-        return self.col_rows[: self.d]
-
-    def row_sums(self) -> tuple[int, ...]:
-        big_n = 2 * self.n + 1
-        counts = [0] * big_n
-        for r in self.col_rows:
-            counts[r - 1] += 1
-        return tuple(counts)
-
-    def grading(self) -> SymComposition:
-        return SymComposition(self.row_sums(), self.n)
-
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        big_n, big_d = 2 * self.n + 1, 2 * self.d
-        return tuple(
-            tuple(1 if self.col_rows[j] == i + 1 else 0 for j in range(big_d))
-            for i in range(big_n)
-        )
-
-
-def enumerate_flag_matrices(
-    n: int,
-    d: int,
-    dcomp: SymComposition | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> list[FlagMatrix]:
-    """All flag matrices, optionally restricted to one component.
-
-    The first d columns range freely over rows 1..N and determine the rest,
-    so the full count is N^d.
-    """
-    check_cells(n, d, max_cells)
-    big_n = 2 * n + 1
-    if dcomp is not None:
-        if dcomp.n != n or dcomp.total != 2 * d:
-            raise ValueError(
-                f"component {dcomp} does not match n={n}, total {2 * d}"
-            )
-    out = []
-    for head in tensor_basis(n, d):
-        col_rows = head + tuple(big_n + 1 - head[d - 1 - j] for j in range(d))
-        m = FlagMatrix(n, d, col_rows)
-        if dcomp is None or m.row_sums() == dcomp.entries:
-            out.append(m)
-    return out
-
-
-def flag_tensor_index(m: FlagMatrix) -> tuple[int, ...]:
-    return m.tensor_index()
 
 
 def _apply_swap(w: SignedPermutation, t: tuple[int, ...], big_n: int) -> tuple[int, ...]:

@@ -261,7 +261,7 @@ def suite_schur_weyl() -> list[CheckResult]:
         for rho in enumerate_bipartitions(2)
     )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
-    flags = tensor.enumerate_flag_matrices(2, 2)
+    flags = geometry.enumerate_flag_matrices(2, 2)
     images = {m.tensor_index() for m in flags}
     out.append(
         _check(
@@ -274,7 +274,7 @@ def suite_schur_weyl() -> list[CheckResult]:
     for dcomp in enumerate_sym_compositions(2, 4):
         char = ho.coset_permutation_character(dcomp)
         block = [
-            m.tensor_index() for m in tensor.enumerate_flag_matrices(2, 2, dcomp)
+            m.tensor_index() for m in geometry.enumerate_flag_matrices(2, 2, dcomp)
         ]
         for cls, expected in char.items():
             w = ho.class_representative(cls)

@@ -1,5 +1,7 @@
 """Brute-force oracles kept independent of the library code paths."""
 
+import itertools
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -168,3 +170,53 @@ def springer_fiber_dim(a: Partition) -> int:
     four_dim = 2 * _n_statistic(a.parts) + sum(1 for part in a.parts if part % 2)
     assert four_dim % 4 == 0, f"dim B_u of {a} is not an integer"
     return four_dim // 4
+
+
+def partition_rule(parts):
+    """The partition rule in four plain passes: ("ok", parts) or ("error", message).
+
+    Convert, reject a negative part, reject an increase, drop the zeros.
+    """
+    parts = tuple(int(x) for x in parts)
+    if any(x < 0 for x in parts):
+        return "error", f"negative part in {parts}"
+    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        return "error", f"parts not weakly decreasing: {parts}"
+    return "ok", tuple(x for x in parts if x > 0)
+
+
+def theta_table(n: int, d: int, fmt: str, component=None) -> str:
+    """The text of `theta --n n --d d --format fmt [--component ...]`.
+
+    Rebuilt from itertools.product: the first d columns are a tuple over
+    1..N, the last d its mirror image reversed, the grading counts the rows
+    of all 2d columns, and the count line counts the rows listed.
+    """
+    big_n = 2 * n + 1
+    rows = []
+    for head in itertools.product(range(1, big_n + 1), repeat=d):
+        columns = head + tuple(big_n + 1 - v for v in reversed(head))
+        grading = tuple(columns.count(i) for i in range(1, big_n + 1))
+        if component is None or grading == tuple(component):
+            rows.append((columns, head, grading))
+
+    def text(values):
+        return ",".join(str(v) for v in values)
+
+    if fmt == "json":
+        matrices = [
+            {"columns": list(c), "chi": text(h), "grading": text(g)} for c, h, g in rows
+        ]
+        return json.dumps({"count": len(rows), "matrices": matrices}, indent=2) + "\n"
+    if fmt == "tsv":
+        lines = ["columns\tchi\tgrading"]
+        lines += [f"{text(c)}\t{text(h)}\t{text(g)}" for c, h, g in rows]
+        lines.append(f"count\t{len(rows)}\t")
+        return "\n".join(lines) + "\n"
+    lines = []
+    for k, (c, h, g) in enumerate(rows, 1):
+        lines.append(f"matrix {k}: chi {text(h)}  grading {text(g)}")
+        for i in range(1, big_n + 1):
+            lines.append("  " + " ".join("1" if r == i else "0" for r in c))
+    lines.append(f"count {len(rows)}")
+    return "\n".join(lines) + "\n"

@@ -1,8 +1,16 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import theta_table
 from springerc import geometry, springer, tensor
 from springerc.cli import main
 from springerc.partitions import enumerate_bipartitions
@@ -182,6 +190,130 @@ def test_theta_pretty_prints_grids(capsys):
     assert code == 0
     assert "count 1" in out
     assert "1 1 1 1" in out
+
+
+Q54_TEXT = ("1,1,0,1,1", "0,1,2,1,0", "1,0,2,0,1", "0,2,0,2,0", "2,0,0,0,2", "0,0,4,0,0")
+THETA_CASES = [(0, 0, None), (0, 3, None), (1, 2, None), (2, 3, None), (2, 2, None)] + [
+    (2, 2, c) for c in Q54_TEXT
+]
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
+@pytest.mark.parametrize("n,d,component", THETA_CASES)
+def test_theta_matches_the_product_oracle(capsys, n, d, component, fmt):
+    argv = ["theta", "--n", str(n), "--d", str(d), "--format", fmt]
+    if component is not None:
+        argv += ["--component", component]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if component is not None:
+        component = tuple(map(int, component.split(",")))
+    assert out == theta_table(n, d, fmt, component)
+
+
+def test_theta_largest_benchmark_table_is_pinned(capsys):
+    code, out, _ = run(capsys, "theta", "--n", "3", "--d", "5", "--format", "tsv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fdb01ff6b4365a15a47d673efd124911fb2416ea7f39ccbf0fb56379117e3dab"
+    )
+
+
+def test_theta_streams_in_constant_memory(monkeypatch):
+    # Building all 16,807 rows before writing any takes about 12.8 MB.
+    import springerc.geometry  # noqa: F401  (import cost is not the table's)
+
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["theta", "--n", "3", "--d", "5", "--format", "tsv"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * 2**20, peak
+
+
+def test_theta_writes_blocks_and_checks_each_grading_once(monkeypatch):
+    from springerc.partitions import SymComposition
+
+    checked = []
+    real_check = SymComposition.__post_init__
+
+    def counted(self):
+        checked.append(self.entries)
+        real_check(self)
+
+    class Sink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+        def flush(self):
+            pass
+
+    sink = Sink()
+    monkeypatch.setattr(SymComposition, "__post_init__", counted)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["theta", "--n", "3", "--d", "4", "--format", "tsv"]) == 0
+    rows = "".join(sink.writes).splitlines()[1:-1]
+    assert len(rows) == 7**4
+    # Neither one write per row nor the whole table in one string.
+    assert 1 < len(sink.writes) < 50
+    assert len(checked) == len({row.split("\t")[2] for row in rows})
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        (["--n", "5", "--d", "5"], 2),
+        (["--n", "2", "--d", "3", "--max-cells", "100"], 2),
+        (["--n", "2", "--d", "2", "--component", "1,0,1"], 3),
+        (["--n", "2", "--d", "2", "--component", "1,0,2,0,2"], 3),
+        (["--n", "-1", "--d", "2"], 3),
+    ],
+)
+def test_theta_errors_write_nothing_to_stdout(capsys, argv, expected_code, fmt):
+    code, out, err = run(capsys, "theta", *argv, "--format", fmt)
+    assert code == expected_code
+    assert out == ""
+    assert err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=-2, max_value=4),
+    d=st.integers(min_value=-2, max_value=4),
+    component=st.one_of(
+        st.none(),
+        st.text(alphabet="0123456789,-+ |x", max_size=14),
+        st.lists(st.integers(min_value=-2, max_value=5), max_size=9).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+    ),
+    fmt=st.sampled_from(["tsv", "json", "pretty"]),
+    max_cells=st.one_of(st.none(), st.integers(min_value=-2, max_value=200)),
+)
+def test_theta_fuzz_exits_cleanly(n, d, component, fmt, max_cells):
+    argv = ["theta", f"--n={n}", f"--d={d}", f"--format={fmt}"]
+    if component is not None:
+        argv.append(f"--component={component}")
+    if max_cells is not None:
+        argv.append(f"--max-cells={max_cells}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("suite", ["sw", "springer", "geometry", "characters", "all"])

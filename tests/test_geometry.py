@@ -8,13 +8,16 @@ from springerc.geometry import (
     component_nonempty,
     flag_dim,
     htop_report,
+    iter_flag_matrices,
     orbit_dim,
     orbit_info,
     richardson,
     top_degree,
 )
+from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
     Partition,
+    SymComposition,
     enumerate_sym_compositions,
     enumerate_type_c,
     gl_dim,
@@ -210,3 +213,43 @@ def test_htop_report_finds_each_richardson_orbit_once(monkeypatch):
         calls.clear()
         htop_report(a, 2, 2)
         assert sorted(calls, key=str) == sorted(Q54.values(), key=str), a
+
+
+def test_full_table_finds_each_richardson_orbit_once(monkeypatch):
+    # Over a whole table the body of richardson, self-check included, runs
+    # once per component, not once per (orbit, component) pair.
+    from springerc.springer import springer_image
+
+    collapses = []
+    real = geometry.type_c_collapse
+
+    def counted(p):
+        collapses.append(p)
+        return real(p)
+
+    monkeypatch.setattr(geometry, "type_c_collapse", counted)
+    geometry.richardson.cache_clear()
+    image = springer_image(3)
+    for a, fiber in image.items():
+        htop_report(a, 2, 3, fiber)
+    assert len(image) > 1
+    assert len(collapses) == len(enumerate_sym_compositions(2, 6))
+
+
+def test_failed_richardson_self_check_is_not_cached(monkeypatch):
+    dcomp = Q54["1,1,0,1,1"]
+    geometry.richardson.cache_clear()
+    monkeypatch.setattr(geometry, "flag_dim", lambda c: 0)
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            richardson(dcomp)
+    monkeypatch.undo()
+    assert richardson(dcomp) == part("4")
+
+
+def test_iter_flag_matrices_checks_before_the_first_matrix():
+    with pytest.raises(CostBoundExceeded):
+        iter_flag_matrices(5, 5)
+    with pytest.raises(ValueError):
+        iter_flag_matrices(2, 2, SymComposition.from_string("1,0,1"))
+    assert next(iter_flag_matrices(2, 2)).col_rows == (1, 1, 5, 5)

@@ -66,7 +66,12 @@ def test_help_loads_only_the_parser():
 
 @pytest.mark.parametrize(
     "argv",
-    [("htop", "--n", "2", "--d", "2", "--format", "json"), ("springer", "--d", "4")],
+    [
+        ("htop", "--n", "2", "--d", "2", "--format", "json"),
+        ("springer", "--d", "4"),
+        ("theta", "--n", "2", "--d", "2", "--format", "tsv"),
+        ("theta", "--n", "1", "--d", "2", "--component", "1,2,1", "--format", "json"),
+    ],
 )
 def test_tables_skip_the_dense_stack(argv):
     loaded, _ = run_fresh(*argv)

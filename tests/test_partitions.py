@@ -10,6 +10,7 @@ from oracles import (
     count_standard_tableaux,
     count_tableaux_with_content,
     dominance_maximal_type_c,
+    partition_rule,
 )
 from springerc.partitions import (
     Bipartition,
@@ -46,6 +47,21 @@ def test_partition_normalizes_and_validates():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+
+
+small_ints = st.lists(st.integers(min_value=-2, max_value=6), max_size=8)
+
+
+@given(st.one_of(small_ints, small_ints.map(lambda xs: sorted(xs, reverse=True))))
+def test_partition_accepts_and_rejects_like_the_plain_rule(parts):
+    # Descending lists are drawn too, so most cases reach the zero cut.
+    verdict, expected = partition_rule(parts)
+    if verdict == "ok":
+        assert Partition(parts).parts == expected
+    else:
+        with pytest.raises(ValueError) as exc:
+            Partition(parts)
+        assert str(exc.value) == expected
 
 
 def test_partition_strings_round_trip():
