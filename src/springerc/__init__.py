@@ -8,22 +8,16 @@ engine it runs.
 import importlib
 
 _EXPORTS = {
-    "exact": ("ExactMatrix", "bareiss_rank"),
+    "exact": ("bareiss_rank",),
     "geometry": (
-        "ComponentGeometry",
         "FlagMatrix",
         "HtopReport",
-        "OrbitInfo",
-        "component_geometry",
         "component_nonempty",
-        "enumerate_flag_matrices",
         "flag_dim",
         "htop_report",
         "iter_flag_matrices",
         "orbit_dim",
-        "orbit_info",
         "richardson",
-        "tensor_grading",
         "top_degree",
     ),
     "hyperoctahedral": (
@@ -37,11 +31,8 @@ _EXPORTS = {
         "coset_permutation_character",
         "cycle_type",
         "decompose_character",
-        "generators",
         "group_order",
         "iter_group",
-        "multiply",
-        "subgroup_index",
         "sym_group_character",
     ),
     "limits": ("DEFAULT_MAX_CELLS", "CostBoundExceeded"),
@@ -71,15 +62,9 @@ _EXPORTS = {
         "springer_orbit",
     ),
     "tensor": (
-        "change_of_basis",
-        "g_action_matrix",
-        "involution_fixed_generators",
-        "isotypic_projector",
         "projector_rank",
         "schur_weyl_decompose",
-        "single_factor_change_of_basis",
         "tensor_basis",
-        "w_action_matrix",
         "w_action_monomial",
     ),
 }

@@ -1,161 +1,9 @@
-"""Dense matrices over exact rationals.
+"""Rank of an integer matrix by fraction-free elimination.
 
-Everything here is arbitrary-precision: entries are `fractions.Fraction`,
-ranks are computed by fraction-free (Bareiss) elimination on an
-integer-rescaled copy, and no floating point appears anywhere.
+`verify sw` ranks the integer-scaled isotypic projectors here: no
+fractions and no floating point appear.  The dense rational matrices the
+tests build (ExactMatrix) live with the test oracles, in tests/dense.py.
 """
-
-from __future__ import annotations
-
-from fractions import Fraction
-from math import lcm
-
-
-class ExactMatrix:
-    """An immutable rows x cols matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, data):
-        rows = [tuple(Fraction(x) for x in row) for row in data]
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(self, "data", tuple(rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactMatrix is immutable")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExactMatrix)
-            and self.shape == other.shape
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash(self.data)
-
-    def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ]
-        )
-
-    def __mul__(self, scalar) -> "ExactMatrix":
-        s = Fraction(scalar)
-        return ExactMatrix([[s * x for x in row] for row in self.data])
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = list(zip(*other.data))
-        return ExactMatrix(
-            [
-                [
-                    sum(a * b for a, b in zip(row, col) if a and b)
-                    for col in cols
-                ]
-                for row in self.data
-            ]
-        )
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self.data)))
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum(self.data[i][i] for i in range(self.rows))
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for row in self.data for x in row)
-
-    def submatrix(self, row_idx, col_idx) -> "ExactMatrix":
-        row_idx, col_idx = list(row_idx), list(col_idx)
-        if not row_idx or not col_idx:
-            raise ValueError("empty submatrix selection")
-        return ExactMatrix(
-            [[self.data[i][j] for j in col_idx] for i in row_idx]
-        )
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        out = []
-        for ra in self.data:
-            for rb in other.data:
-                out.append([a * b for a in ra for b in rb])
-        return ExactMatrix(out)
-
-    def to_int_grid(self) -> list[list[int]]:
-        """Rescale each row by the lcm of its denominators (rank-preserving)."""
-        grid = []
-        for row in self.data:
-            mult = lcm(*(x.denominator for x in row)) if row else 1
-            grid.append([int(x * mult) for x in row])
-        return grid
-
-    def rank(self) -> int:
-        return bareiss_rank(self.to_int_grid())
-
-    def inverse(self) -> "ExactMatrix":
-        """Gauss-Jordan inverse; raises ValueError on a singular matrix."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-               for i, row in enumerate(self.data)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            inv_p = 1 / aug[col][col]
-            aug[col] = [x * inv_p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        return ExactMatrix([row[n:] for row in aug])
-
-    def _same_shape(self, other: "ExactMatrix") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
 
 
 def bareiss_rank(grid: list[list[int]]) -> int:

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .limits import DEFAULT_MAX_CELLS, check_cells, check_htop_work
+from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells, check_htop_work
 from .partitions import (
     Partition,
     SymComposition,
@@ -36,31 +36,6 @@ from .partitions import (
     type_c_collapse,
 )
 from .springer import orbit_fiber
-
-
-@dataclass(frozen=True)
-class OrbitInfo:
-    partition: Partition
-    ambient_2d: int
-    dim: int
-
-
-@dataclass(frozen=True)
-class ComponentGeometry:
-    dcomp: SymComposition
-    flag_dim: int
-    image_dim: int
-    richardson: Partition
-
-
-def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
-    """Component weights: entry i counts slots equal to i or to N+1-i."""
-    big_n = 2 * n + 1
-    counts = [0] * big_n
-    for v in idx:
-        counts[v - 1] += 1
-        counts[big_n - v] += 1
-    return SymComposition(counts, n)
 
 
 @dataclass(frozen=True)
@@ -115,10 +90,18 @@ def iter_flag_matrices(
     """Iterate over the flag matrices, optionally those of one component.
 
     The first d columns range freely over rows 1..N in ascending lex order
-    and determine the rest, so the full count is N^d.  The cell ceiling and
-    the component are checked when this is called, before the first
-    matrix is asked for; the matrices are then built one at a time.
+    and determine the rest, so the full count is N^d.  The ceiling bounds
+    both that count and the width of one row (2d columns and N grading
+    entries), so neither corner, d = 0 at large n nor n = 0 at large d,
+    gets through.  The ceiling and the component are checked when this is
+    called, before the first matrix is asked for; the matrices are then
+    built one at a time.
     """
+    width = 2 * d + 2 * n + 1
+    if width > max_cells:
+        raise CostBoundExceeded(
+            f"a flag row of {width} entries exceeds the ceiling {max_cells}"
+        )
     check_cells(n, d, max_cells)
     if dcomp is not None and (dcomp.n != n or dcomp.total != 2 * d):
         raise ValueError(f"component {dcomp} does not match n={n}, total {2 * d}")
@@ -131,16 +114,6 @@ def _flag_matrices(n: int, d: int, row_sums):
         m = FlagMatrix(n, d, head + tuple(big_n + 1 - v for v in reversed(head)))
         if row_sums is None or m.row_sums() == row_sums:
             yield m
-
-
-def enumerate_flag_matrices(
-    n: int,
-    d: int,
-    dcomp: SymComposition | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
-) -> list[FlagMatrix]:
-    """All flag matrices, optionally restricted to one component, as a list."""
-    return list(iter_flag_matrices(n, d, dcomp, max_cells))
 
 
 def orbit_dim(a: Partition) -> int:
@@ -157,10 +130,6 @@ def orbit_dim(a: Partition) -> int:
     odd = sum(1 for part in a if part % 2)
     centralizer = (sum(x * x for x in dual) + odd) // 2
     return ambient - centralizer
-
-
-def orbit_info(a: Partition) -> OrbitInfo:
-    return OrbitInfo(a, a.size(), orbit_dim(a))
 
 
 def flag_dim(dcomp: SymComposition) -> int:
@@ -206,12 +175,6 @@ def richardson(dcomp: SymComposition) -> Partition:
             f"{orbit_dim(orbit)} but the flag variety has dim {flag_dim(dcomp)}"
         )
     return orbit
-
-
-def component_geometry(dcomp: SymComposition) -> ComponentGeometry:
-    rich = richardson(dcomp)
-    fd = flag_dim(dcomp)
-    return ComponentGeometry(dcomp, fd, 2 * fd, rich)
 
 
 def component_nonempty(a: Partition, dcomp: SymComposition) -> bool:

@@ -26,7 +26,6 @@ every rank the table builder accepts.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +33,6 @@ from math import factorial
 
 from .limits import MAX_CHARACTER_TABLE_RANK, CostBoundExceeded
 from .partitions import Bipartition, Partition, enumerate_bipartitions
-from .partitions import irr_dim  # noqa: F401  (kept importable here)
 
 
 class SignedPermutation:
@@ -64,11 +62,6 @@ class SignedPermutation:
     def identity(cls, d: int) -> "SignedPermutation":
         return cls(range(1, d + 1), (1,) * d)
 
-    @classmethod
-    def from_window(cls, window) -> "SignedPermutation":
-        """Build from signed images, e.g. [-2, 1] maps 1 to -2 and 2 to 1."""
-        return cls([abs(x) for x in window], [1 if x > 0 else -1 for x in window])
-
     def window(self) -> tuple[int, ...]:
         return tuple(im * s for im, s in zip(self.images, self.signs))
 
@@ -89,11 +82,6 @@ class SignedPermutation:
             inv_images[j - 1] = k + 1
             inv_signs[j - 1] = self.signs[k]
         return SignedPermutation(inv_images, inv_signs)
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.d + 1)) and all(
-            s == 1 for s in self.signs
-        )
 
     def flip_character(self) -> int:
         """delta(w) = (-1)^(number of sign flips), a linear character."""
@@ -133,24 +121,12 @@ class SignedCycleType:
     def __str__(self) -> str:
         return f"{self.pos}|{self.neg}"
 
+    def perm_sign(self) -> int:
+        """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
+        return (-1) ** (self.total - len(self.pos) - len(self.neg))
+
     def sort_key(self):
         return (self.pos.parts, self.neg.parts)
-
-
-def generators(d: int) -> list[SignedPermutation]:
-    """s_1 = sign flip at position 1; s_k (k >= 2) swaps k-1 and k."""
-    if d < 1:
-        raise ValueError("the group needs rank at least 1")
-    gens = [SignedPermutation(range(1, d + 1), (-1,) + (1,) * (d - 1))]
-    for k in range(2, d + 1):
-        images = list(range(1, d + 1))
-        images[k - 2], images[k - 1] = images[k - 1], images[k - 2]
-        gens.append(SignedPermutation(images, (1,) * d))
-    return gens
-
-
-def multiply(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
-    return a * b
 
 
 def iter_group(d: int):
@@ -164,10 +140,12 @@ def group_order(d: int) -> int:
     return (2**d) * factorial(d)
 
 
-def cycle_type(w: SignedPermutation) -> SignedCycleType:
-    """Signed cycle type: cycle sign is the product of signs along the cycle."""
+def _cycles(w: SignedPermutation):
+    """(first letter, length, sign) of each cycle of w, by first letter.
+
+    A cycle's sign is the product of the signs along it.
+    """
     seen = [False] * w.d
-    pos, neg = [], []
     for start in range(1, w.d + 1):
         if seen[start - 1]:
             continue
@@ -177,6 +155,13 @@ def cycle_type(w: SignedPermutation) -> SignedCycleType:
             sign *= w.signs[k - 1]
             length += 1
             k = w.images[k - 1]
+        yield start, length, sign
+
+
+def cycle_type(w: SignedPermutation) -> SignedCycleType:
+    """Signed cycle type: the lengths of the positive and negative cycles."""
+    pos, neg = [], []
+    for _start, length, sign in _cycles(w):
         (pos if sign == 1 else neg).append(length)
     return SignedCycleType(
         Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True))
@@ -265,20 +250,24 @@ def _split_coset_reps(d: int, a: int) -> tuple[SignedPermutation, ...]:
     return tuple(reps)
 
 
-def _restricted_cycle_type(w: SignedPermutation, lo: int, hi: int) -> Partition:
-    # Underlying (unsigned) cycle type of w on the block positions lo..hi.
-    seen = set()
-    cycles = []
-    for start in range(lo, hi + 1):
-        if start in seen:
-            continue
-        length, k = 0, start
-        while k not in seen:
-            seen.add(k)
-            length += 1
-            k = w.images[k - 1]
-        cycles.append(length)
-    return Partition(sorted(cycles, reverse=True))
+def _block_cycle_types(y: SignedPermutation, a: int) -> tuple[Partition, Partition, int]:
+    """Unsigned cycle types of y on 1..a and on a+1..d, and delta on 1..a.
+
+    y must map each block to itself, so every cycle lies in one block, and
+    the flip character of the first block is the product of its cycle signs.
+    """
+    first, second, delta = [], [], 1
+    for start, length, sign in _cycles(y):
+        if start <= a:
+            first.append(length)
+            delta *= sign
+        else:
+            second.append(length)
+    return (
+        Partition(sorted(first, reverse=True)),
+        Partition(sorted(second, reverse=True)),
+        delta,
+    )
 
 
 def character_value(rho: Bipartition, cls: SignedCycleType) -> int:
@@ -295,13 +284,11 @@ def character_value(rho: Bipartition, cls: SignedCycleType) -> int:
         y = t.inverse() * g * t
         if any(y.images[k] > a for k in range(a)):
             continue
-        delta = 1
-        for s in y.signs[:a]:
-            delta *= s
+        first, second, delta = _block_cycle_types(y, a)
         total += (
-            sym_group_character(rho.first, _restricted_cycle_type(y, 1, a))
+            sym_group_character(rho.first, first)
             * delta
-            * sym_group_character(rho.second, _restricted_cycle_type(y, a + 1, d))
+            * sym_group_character(rho.second, second)
         )
     return total
 
@@ -328,34 +315,6 @@ class CharacterTable:
     @property
     def group_order(self) -> int:
         return group_order(self.d)
-
-    def to_tsv(self) -> str:
-        lines = ["\t".join(["bipartition"] + [str(c) for c in self.cols])]
-        lines.append(
-            "\t".join(["class_size"] + [str(self.class_sizes[c]) for c in self.cols])
-        )
-        for rho in self.rows:
-            lines.append(
-                "\t".join(
-                    [str(rho)] + [str(self.values[(rho, c)]) for c in self.cols]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "classes": [str(c) for c in self.cols],
-            "class_sizes": [self.class_sizes[c] for c in self.cols],
-            "rows": [
-                {
-                    "bipartition": str(rho),
-                    "values": [self.values[(rho, c)] for c in self.cols],
-                }
-                for rho in self.rows
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
 
 
 @lru_cache(maxsize=None)
@@ -455,18 +414,6 @@ def coset_permutation_character(dcomp) -> dict[SignedCycleType, int]:
             1 for t in reps if _in_coset_subgroup(t.inverse() * g * t, bounds)
         )
     return out
-
-
-def subgroup_index(dcomp) -> int:
-    """Index of the block subgroup, i.e. the number of cosets."""
-    d = dcomp.total // 2
-    order = 1
-    sizes = _block_sizes(dcomp)
-    for i, s in enumerate(sizes):
-        order *= factorial(s)
-        if i == len(sizes) - 1:
-            order *= 2**s
-    return group_order(d) // order
 
 
 def decompose_character(values, table: CharacterTable) -> dict[Bipartition, int]:

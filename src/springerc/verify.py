@@ -80,12 +80,16 @@ def suite_characters() -> list[CheckResult]:
         out.append(_check(f"column orthogonality d={d}", col_ok))
     table = ho.character_table(3)
     d = 3
+
+    def perm_sign(w) -> int:
+        return ho.cycle_type(w).perm_sign()
+
     linear = {
         Bipartition(Partition(), Partition([d])): lambda w: 1,
         Bipartition(Partition([d]), Partition()): lambda w: w.flip_character(),
-        Bipartition(Partition(), Partition([1] * d)): _perm_sign,
+        Bipartition(Partition(), Partition([1] * d)): perm_sign,
         Bipartition(Partition([1] * d), Partition()): lambda w: w.flip_character()
-        * _perm_sign(w),
+        * perm_sign(w),
     }
     lin_ok = True
     for rho, func in linear.items():
@@ -105,22 +109,6 @@ def suite_characters() -> list[CheckResult]:
         )
     )
     return out
-
-
-def _perm_sign(w) -> int:
-    sign = 1
-    seen = [False] * w.d
-    for start in range(1, w.d + 1):
-        if seen[start - 1]:
-            continue
-        length, k = 0, start
-        while not seen[k - 1]:
-            seen[k - 1] = True
-            length += 1
-            k = w.images[k - 1]
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 def suite_springer() -> list[CheckResult]:
@@ -173,8 +161,8 @@ def suite_geometry() -> list[CheckResult]:
     for n, two_d in ((2, 4), (3, 6)):
         ok = True
         for dcomp in enumerate_sym_compositions(n, two_d):
-            geom = geometry.component_geometry(dcomp)
-            if geom.image_dim != 2 * geom.flag_dim:
+            rich = geometry.richardson(dcomp)
+            if geometry.orbit_dim(rich) != 2 * geometry.flag_dim(dcomp):
                 ok = False
         out.append(_check(f"richardson self-check n={n}, 2d={two_d}", ok))
     expected_image_dims = {
@@ -238,30 +226,18 @@ def suite_schur_weyl() -> list[CheckResult]:
                 f"{mass} vs {big_n**d}",
             )
         )
-    n = d = 2
-    projectors = {
-        rho: tensor.isotypic_projector(rho, n, d, "sign")
-        for rho in enumerate_bipartitions(d)
-    }
-    from .exact import ExactMatrix
-
-    total = ExactMatrix.zeros(25, 25)
-    algebra_ok = True
-    items = list(projectors.items())
-    for i, (rho, p) in enumerate(items):
-        total = total + p
-        for sigma, q in items[i + 1 :]:
-            if not (p @ q).is_zero():
-                algebra_ok = False
-    if total != ExactMatrix.identity(25):
-        algebra_ok = False
-    out.append(_check("projector algebra (orthogonal idempotents summing to 1)", algebra_ok))
+    out.append(
+        _check(
+            "projector algebra (orthogonal idempotents summing to 1)",
+            _projector_algebra_ok(2, 2),
+        )
+    )
     graded_ok = all(
         graded_multiplicity(rho, 2, 2).total == decompositions[2, 2][rho]
         for rho in enumerate_bipartitions(2)
     )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
-    flags = geometry.enumerate_flag_matrices(2, 2)
+    flags = list(geometry.iter_flag_matrices(2, 2))
     images = {m.tensor_index() for m in flags}
     out.append(
         _check(
@@ -274,7 +250,7 @@ def suite_schur_weyl() -> list[CheckResult]:
     for dcomp in enumerate_sym_compositions(2, 4):
         char = ho.coset_permutation_character(dcomp)
         block = [
-            m.tensor_index() for m in geometry.enumerate_flag_matrices(2, 2, dcomp)
+            m.tensor_index() for m in geometry.iter_flag_matrices(2, 2, dcomp)
         ]
         for cls, expected in char.items():
             w = ho.class_representative(cls)
@@ -287,6 +263,25 @@ def suite_schur_weyl() -> list[CheckResult]:
         _check("coset permutation character equals flag fixed-point counts", fixed_ok)
     )
     return out
+
+
+def _projector_algebra_ok(n: int, d: int) -> bool:
+    # On the integer accumulators A = (|W|/dim) P: the projectors P sum to
+    # 1 exactly when sum dim * A = |W| * I, and are orthogonal exactly when
+    # A_rho A_sigma = 0.  Each A was checked idempotent as it was built.
+    accs = [tensor._projector_int(rho, n, d, "sign") for rho in enumerate_bipartitions(d)]
+    size = (2 * n + 1) ** d
+    order = accs[0][2]
+    for i in range(size):
+        for j in range(size):
+            if sum(dim * acc[i][j] for acc, dim, _ in accs) != order * (i == j):
+                return False
+    for k, (a, _, _) in enumerate(accs):
+        for b, _, _ in accs[k + 1 :]:
+            cols = list(zip(*b))
+            if any(sum(map(int.__mul__, row, col)) for row in a for col in cols):
+                return False
+    return True
 
 
 SUITES = {

@@ -120,7 +120,7 @@ def dominance_maximal_type_c(p: Partition):
 
 
 def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
-    """Reference for tensor.graded_multiplicity: ranks of projector blocks.
+    """Reference for partitions.graded_multiplicity: ranks of projector blocks.
 
     The sign-convention action preserves the grading, so the isotypic
     projector is block-diagonal; each block rank divided by the irreducible
@@ -128,9 +128,10 @@ def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
     multiplicity.  Returns {component: multiplicity}; callers check the sum
     against the closed form gl_dim(mu, n+1) * gl_dim(nu, n).
     """
+    from dense import tensor_grading
     from springerc.exact import bareiss_rank
     from springerc.partitions import enumerate_sym_compositions
-    from springerc.tensor import _projector_int, tensor_basis, tensor_grading
+    from springerc.tensor import _projector_int, tensor_basis
 
     acc, dim, _order = _projector_int(rho, n, d, "sign")
     blocks: dict = {}

@@ -10,14 +10,27 @@ Run with:  pytest tests/test_acceptance.py -v -s
 import time
 from pathlib import Path
 
+from dense import (
+    change_of_basis,
+    g_action_matrix,
+    generators,
+    involution_fixed_generators,
+    single_factor_change_of_basis,
+    w_action_matrix,
+)
 from springerc.cli import main
-from springerc.geometry import component_nonempty, flag_dim, htop_report, orbit_dim, richardson
+from springerc.geometry import (
+    component_nonempty,
+    flag_dim,
+    htop_report,
+    iter_flag_matrices,
+    orbit_dim,
+    richardson,
+)
 from springerc.hyperoctahedral import (
     character_table,
     class_representative,
     coset_permutation_character,
-    generators,
-    irr_dim,
     iter_group,
 )
 from springerc.partitions import (
@@ -26,19 +39,10 @@ from springerc.partitions import (
     enumerate_sym_compositions,
     enumerate_type_c,
     gl_dim,
+    irr_dim,
 )
 from springerc.springer import springer_orbit
-from springerc.tensor import (
-    _apply_swap,
-    change_of_basis,
-    enumerate_flag_matrices,
-    g_action_matrix,
-    involution_fixed_generators,
-    schur_weyl_decompose,
-    single_factor_change_of_basis,
-    tensor_basis,
-    w_action_matrix,
-)
+from springerc.tensor import _apply_swap, schur_weyl_decompose, tensor_basis
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -144,13 +148,13 @@ def test_criterion_5_bimodule_decomposition():
 
 def test_criterion_6_flag_matrix_combinatorics():
     with criterion(6, "flag matrices and coset characters", 5.0):
-        flags = enumerate_flag_matrices(2, 2)
+        flags = list(iter_flag_matrices(2, 2))
         assert len(flags) == 25
         images = {m.tensor_index() for m in flags}
         assert len(images) == 25 and images == set(tensor_basis(2, 2))
         for dcomp in enumerate_sym_compositions(2, 4):
             char = coset_permutation_character(dcomp)
-            block = [m.tensor_index() for m in enumerate_flag_matrices(2, 2, dcomp)]
+            block = [m.tensor_index() for m in iter_flag_matrices(2, 2, dcomp)]
             for cls, expected in char.items():
                 w = class_representative(cls)
                 fixed = sum(1 for t in block if _apply_swap(w, t, 5) == t)

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import theta_table
-from springerc import geometry, springer, tensor
+from springerc import geometry, partitions, springer, tensor
 from springerc.cli import main
-from springerc.partitions import enumerate_bipartitions
+from springerc.partitions import Partition, enumerate_bipartitions
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -126,13 +126,13 @@ def test_htop_scans_each_label_once(capsys, monkeypatch):
 
 
 def test_failed_self_check_has_its_own_exit_code(capsys, monkeypatch):
-    real = tensor.graded_multiplicity
+    real = partitions.graded_multiplicity
 
     def off_by_one(rho, n, d):
         g = real(rho, n, d)
         per_weight = dict(g.per_weight)
         per_weight[next(iter(per_weight))] += 1
-        return tensor.GradedDecomposition(per_weight, g.total + 1)
+        return partitions.GradedDecomposition(per_weight, g.total + 1)
 
     monkeypatch.setattr(geometry, "graded_multiplicity", off_by_one)
     code, out, err = run(capsys, "htop", "--n", "2", "--d", "2")
@@ -284,6 +284,16 @@ def test_theta_errors_write_nothing_to_stdout(capsys, argv, expected_code, fmt):
     assert err
 
 
+@pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
+@pytest.mark.parametrize("n,d", [(1_000_000, 0), (0, 1_000_000)])
+def test_theta_refuses_a_row_wider_than_the_ceiling(capsys, n, d, fmt):
+    # One row, or N^d = 1 rows, but each 2d + 2n + 1 entries wide.
+    code, out, err = run(capsys, "theta", "--n", str(n), "--d", str(d), "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert "ceiling" in err
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=-2, max_value=4),
@@ -336,6 +346,40 @@ def test_fiber_coverage_check_can_fail(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "springer")
     assert code == 1
     assert "FAIL  fiber coverage report d=1" in out
+
+
+@pytest.mark.parametrize("perturbation", ["scale", "shift"])
+def test_projector_algebra_check_can_fail(capsys, monkeypatch, perturbation):
+    # "scale" doubles one accumulator, which breaks the sum to |W| * I but
+    # keeps every rank; "shift" moves one entry between two accumulators of
+    # dimension 1, which keeps the sum but breaks orthogonality.
+    real = tensor._projector_int
+
+    def perturbed(rho, n, d, convention):
+        acc, dim, order = real(rho, n, d, convention)
+        label = str(rho)
+        if (n, d) != (2, 2) or label not in ("2|-", "-|2"):
+            return acc, dim, order
+        grid = [list(row) for row in acc]
+        if perturbation == "scale" and label == "2|-":
+            grid = [[2 * x for x in row] for row in grid]
+        elif perturbation == "shift":
+            grid[0][1] += 1 if label == "2|-" else -1
+        return tuple(map(tuple, grid)), dim, order
+
+    monkeypatch.setattr(tensor, "_projector_int", perturbed)
+    code, out, _ = run(capsys, "verify", "sw")
+    assert code == 1
+    assert "FAIL  projector algebra (orthogonal idempotents summing to 1)" in out
+    if perturbation == "scale":
+        assert out.count("FAIL") == 1
+
+
+def test_richardson_check_can_fail(capsys, monkeypatch):
+    monkeypatch.setattr(geometry, "richardson", lambda dcomp: Partition([1] * dcomp.total))
+    code, out, _ = run(capsys, "verify", "geometry")
+    assert code == 1
+    assert "FAIL  richardson self-check n=2, 2d=4" in out
 
 
 def test_outputs_are_deterministic(capsys):

@@ -88,6 +88,11 @@ def test_scans_write_nothing_to_stderr(argv):
     assert err == ""
 
 
+def test_verify_springer_loads_no_json():
+    loaded, _ = run_fresh("verify", "springer")
+    assert "json" not in loaded
+
+
 def test_public_names_resolve():
     for name in springerc.__all__:
         assert getattr(springerc, name) is not None, name
