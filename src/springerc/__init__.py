@@ -14,7 +14,7 @@ _EXPORTS = {
         "HtopReport",
         "component_nonempty",
         "flag_dim",
-        "htop_report",
+        "htop_table",
         "iter_flag_matrices",
         "orbit_dim",
         "richardson",
@@ -38,7 +38,6 @@ _EXPORTS = {
     "limits": ("DEFAULT_MAX_CELLS", "CostBoundExceeded"),
     "partitions": (
         "Bipartition",
-        "GradedDecomposition",
         "Partition",
         "SymComposition",
         "dominance_leq",
@@ -47,7 +46,7 @@ _EXPORTS = {
         "enumerate_sym_compositions",
         "enumerate_type_c",
         "gl_dim",
-        "graded_multiplicity",
+        "graded_multiplicities",
         "hook_lengths",
         "irr_dim",
         "is_type_c",
@@ -57,7 +56,6 @@ _EXPORTS = {
     ),
     "springer": (
         "interleave_bipartition",
-        "orbit_fiber",
         "springer_image",
         "springer_orbit",
     ),

@@ -10,8 +10,8 @@ Subcommands:
   characters, all)
 
 Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded,
-3 invalid input, 4 internal self-check failed (a bug, never the input's
-fault).  All output is deterministic.
+3 invalid input (a malformed command line included), 4 internal self-check
+failed (a bug, never the input's fault).  All output is deterministic.
 
 Each process runs one command, so each command imports the modules it
 needs when it runs: ``--help`` loads no engine, and ``htop``, ``springer``
@@ -26,12 +26,7 @@ import argparse
 import itertools
 import sys
 
-from .limits import (
-    DEFAULT_MAX_CELLS,
-    MAX_SPRINGER_TABLE_RANK,
-    CostBoundExceeded,
-    check_htop_work,
-)
+from .limits import DEFAULT_MAX_CELLS, MAX_SPRINGER_TABLE_RANK, CostBoundExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -129,63 +124,38 @@ def cmd_springer(args) -> int:
     return EXIT_OK
 
 
-def _parse_orbit(text: str, two_d: int):
-    from .partitions import Partition, is_type_c
-
-    orbit = Partition.from_string(text)
-    if orbit.size() != two_d or not is_type_c(orbit):
-        raise ValueError(f"{text!r} is not a type-C partition of {two_d}")
-    return orbit
+def _degree(report, dcomp) -> str:
+    degree = report.degrees[dcomp]
+    return "-" if degree is None else str(degree)
 
 
 def cmd_htop(args) -> int:
-    from . import geometry, springer
+    from .geometry import htop_table, orbit_dim
+    from .partitions import Partition
 
-    n, d = args.n, args.d
-    if n < 0 or d < 0:
-        raise ValueError("--n and --d must be nonnegative")
-    orbit = None if args.orbit is None else _parse_orbit(args.orbit, 2 * d)
-    check_htop_work(n, d)
-    image = springer.springer_image(d)
-    orbits = list(image) if orbit is None else [orbit]
-    reports = [geometry.htop_report(a, n, d, image[a]) for a in orbits]
+    orbit = None if args.orbit is None else Partition.from_string(args.orbit)
+    reports = htop_table(args.n, args.d, orbit)
     if args.format == "json":
         _print_json([r.to_json_dict() for r in reports])
         return EXIT_OK
     if args.format == "tsv":
-        rows = []
-        for r in reports:
-            for dcomp, mult in r.per_component.items():
-                deg = r.degrees[dcomp]
-                rows.append(
-                    [
-                        str(r.orbit),
-                        str(dcomp),
-                        "-" if deg is None else str(deg),
-                        str(mult),
-                        str(r.total),
-                    ]
-                )
-        sys.stdout.write(
-            _format_table(
-                ["orbit", "component", "degree", "htop", "orbit_total"], rows, "tsv"
-            )
-        )
+        header = ["orbit", "component", "degree", "htop", "orbit_total"]
+        rows = [
+            [str(r.orbit), str(dcomp), _degree(r, dcomp), str(mult), str(r.total)]
+            for r in reports
+            for dcomp, mult in r.per_component.items()
+        ]
+        sys.stdout.write(_format_table(header, rows, "tsv"))
         return EXIT_OK
     for r in reports:
-        print(f"orbit {r.orbit}  (dim {geometry.orbit_dim(r.orbit)})")
+        print(f"orbit {r.orbit}  (dim {orbit_dim(r.orbit)})")
         if r.contributing:
             for rho, dual, dim in r.contributing:
                 print(f"  from {rho}  (dual {dual}, dim {dim})")
         else:
             print("  no contributing labels")
         rows = [
-            [
-                str(dcomp),
-                "-" if r.degrees[dcomp] is None else str(r.degrees[dcomp]),
-                str(mult),
-            ]
-            for dcomp, mult in r.per_component.items()
+            [str(dcomp), _degree(r, dcomp), str(mult)] for dcomp, mult in r.per_component.items()
         ]
         block = _format_table(["component", "degree", "htop"], rows, "pretty")
         sys.stdout.write("  " + block.replace("\n", "\n  ").rstrip() + "\n")
@@ -258,8 +228,16 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input, so it exits 3; exit 2 means a resource bound."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="springerc",
         description="Exact top Borel-Moore homology dimensions of type-C partial Springer fibers",
     )

@@ -31,11 +31,11 @@ from .partitions import (
     dominance_leq,
     enumerate_sym_compositions,
     gl_dim,
-    graded_multiplicity,
+    graded_multiplicities,
     is_type_c,
     type_c_collapse,
 )
-from .springer import orbit_fiber
+from .springer import springer_image
 
 
 @dataclass(frozen=True)
@@ -229,57 +229,56 @@ class HtopReport:
         }
 
 
-def htop_report(a: Partition, n: int, d: int, fiber=None) -> HtopReport:
-    """Top-homology dimensions of the fiber over the orbit a, per component.
+def htop_table(n: int, d: int, orbit: Partition | None = None) -> list[HtopReport]:
+    """Top-homology dimensions over every orbit of 2d, or over the one orbit given.
 
-    Contributions come from the bipartitions mapping to a; each contributes
-    the graded multiplicities of its dual, whose sum must equal the closed
-    form gl_dim(dual.first, n+1) * gl_dim(dual.second, n).  Components whose
-    image closure misses the orbit must come out exactly zero, and the
-    orbit total is checked against the closed forms once more.
-
-    fiber, when given, is springer_image(d)[a]: a caller building reports
-    for many orbits scans the Springer map once.  Otherwise it is computed
-    with orbit_fiber.
+    The fiber over an orbit holds the bipartitions mapping to it; each
+    contributes the graded multiplicities of its dual, whose sum must equal
+    the closed form gl_dim(dual.first, n+1) * gl_dim(dual.second, n).
+    Components whose image closure misses the orbit must come out exactly
+    zero, and the orbit total is checked against the closed forms once
+    more.  The cost guard runs before anything is enumerated; the Springer
+    map is then scanned once, and the multiplicity table is built once, for
+    the duals the requested orbits need.
     """
-    if a.size() != 2 * d:
-        raise ValueError(f"|{a}| = {a.size()} but expected {2 * d}")
-    if not is_type_c(a):
-        raise ValueError(f"{a} is not a type-C partition")
+    if n < 0 or d < 0:
+        raise ValueError("n and d must be nonnegative")
+    if orbit is not None and (orbit.size() != 2 * d or not is_type_c(orbit)):
+        raise ValueError(f"{orbit} is not a type-C partition of {2 * d}")
     check_htop_work(n, d)
-    if fiber is None:
-        fiber = orbit_fiber(a, d)
-    contributing = []
-    graded = []
-    for rho in fiber:
-        dual = rho.dual()
-        closed_dim = gl_dim(dual.first, n + 1) * gl_dim(dual.second, n)
-        g = graded_multiplicity(dual, n, d)
-        if g.total != closed_dim:
+    image = springer_image(d)
+    orbits = list(image) if orbit is None else [orbit]
+    duals = {rho: rho.dual() for a in orbits for rho in image[a]}
+    table = graded_multiplicities(n, d, duals.values())
+    reports = []
+    for a in orbits:
+        contributing = []
+        for rho in image[a]:
+            dual = duals[rho]
+            closed_dim = gl_dim(dual.first, n + 1) * gl_dim(dual.second, n)
+            graded_total = sum(table[dual].values())
+            if graded_total != closed_dim:
+                raise ArithmeticError(
+                    f"graded multiplicities of {dual} sum to {graded_total}, "
+                    f"but the closed form gives {closed_dim}"
+                )
+            contributing.append((rho, dual, closed_dim))
+        a_dim = orbit_dim(a)
+        per_component, degrees = {}, {}
+        for dcomp in enumerate_sym_compositions(n, 2 * d):
+            value = sum(table[dual][dcomp] for _, dual, _ in contributing)
+            nonempty = component_nonempty(a, dcomp)
+            if not nonempty and value != 0:
+                raise ArithmeticError(
+                    f"component {dcomp} misses orbit {a} but carries multiplicity {value}"
+                )
+            per_component[dcomp] = value
+            degrees[dcomp] = _semismall_degree(a_dim, dcomp) if nonempty else None
+        total_graded = sum(per_component.values())
+        total_closed = sum(dim for _, _, dim in contributing)
+        if total_graded != total_closed:
             raise ArithmeticError(
-                f"graded multiplicities of {dual} sum to {g.total}, "
-                f"but the closed form gives {closed_dim}"
+                f"orbit {a}: graded total {total_graded} != closed-form total {total_closed}"
             )
-        contributing.append((rho, dual, closed_dim))
-        graded.append(g)
-    a_dim = orbit_dim(a)
-    per_component = {}
-    degrees = {}
-    for dcomp in enumerate_sym_compositions(n, 2 * d):
-        value = sum(g.per_weight[dcomp] for g in graded)
-        # richardson self-checks the component's orbit dimension; one call
-        # decides emptiness and the degree.
-        nonempty = dominance_leq(a, richardson(dcomp))
-        if not nonempty and value != 0:
-            raise ArithmeticError(
-                f"component {dcomp} misses orbit {a} but carries multiplicity {value}"
-            )
-        per_component[dcomp] = value
-        degrees[dcomp] = _semismall_degree(a_dim, dcomp) if nonempty else None
-    total_graded = sum(per_component.values())
-    total_closed = sum(dim for _, _, dim in contributing)
-    if total_graded != total_closed:
-        raise ArithmeticError(
-            f"orbit {a}: graded total {total_graded} != closed-form total {total_closed}"
-        )
-    return HtopReport(a, tuple(contributing), per_component, degrees, total_closed)
+        reports.append(HtopReport(a, tuple(contributing), per_component, degrees, total_closed))
+    return reports

@@ -339,7 +339,11 @@ def kostka(shape: Partition, weight) -> int:
         raise ValueError(f"negative entry in weight {tuple(weight)}")
     if sum(weight) != shape.size():
         return 0
-    return _kostka(shape.parts, tuple(sorted((x for x in weight if x), reverse=True)))
+    return _kostka(shape.parts, _weight_key(weight))
+
+
+def _weight_key(weight) -> tuple[int, ...]:
+    return tuple(sorted(filter(None, weight), reverse=True))
 
 
 @lru_cache(maxsize=None)
@@ -358,45 +362,45 @@ def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class GradedDecomposition:
-    """Component-by-component multiplicities of one isotypic piece."""
+def graded_multiplicities(n: int, d: int, labels) -> dict:
+    """Multiplicities of each label in each grading block of the tensor space.
 
-    per_weight: dict
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.per_weight.values()):
-            raise ValueError("total does not match the per-component sum")
-
-
-def graded_multiplicity(rho: Bipartition, n: int, d: int) -> GradedDecomposition:
-    """Multiplicities of rho in each grading block of the tensor space.
-
-    Under Schur-Weyl duality the block of the component
-    (w_1..w_n, w_mid, w_n..w_1) is a torus weight space of gl_{n+1} (+) gl_n,
-    so the multiplicity of rho = (mu, nu) there is the weight multiplicity
+    Returns {rho: {component: multiplicity}} for the bipartitions rho of d
+    in labels, components in enumeration order.  Under Schur-Weyl duality
+    the block of the component D = (w_1..w_n, w_mid, w_n..w_1) is a torus
+    weight space of gl_{n+1} (+) gl_n, so the multiplicity of rho = (mu, nu)
+    there is the weight multiplicity (Macdonald, Symmetric Functions,
+    I.5-I.6)
 
         sum over beta of K(mu, alpha) * K(nu, beta),
 
     with K the Kostka number, beta in N^n, beta_i <= w_i, |beta| = |nu| and
-    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  The projector
-    block ranks give the same numbers; they are the reference in the tests.
+    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  For each
+    component and each |nu| among the labels the betas are enumerated once,
+    with one Kostka row per distinct mu and per distinct nu over them, so
+    each multiplicity is the dot product of two rows.  Only the requested
+    labels are computed.
     """
-    if rho.size() != d:
-        raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
     check_htop_work(n, d)
-    mu, nu = rho.first, rho.second
-    per_weight = {}
+    table: dict = {}
+    by_size: dict[int, list[Bipartition]] = {}
+    for rho in labels:
+        if rho.size() != d:
+            raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
+        table[rho] = {}
+        by_size.setdefault(rho.second.size(), []).append(rho)
     for dcomp in enumerate_sym_compositions(n, 2 * d):
         head = dcomp.entries[:n]
         half_mid = (dcomp.entries[n] // 2,)
-        per_weight[dcomp] = sum(
-            kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
-            * kostka(nu, beta)
-            for beta in bounded_compositions(nu.size(), head)
-        )
-    return GradedDecomposition(per_weight, sum(per_weight.values()))
+        for k, group in by_size.items():
+            betas = bounded_compositions(k, head)
+            alphas = [_weight_key(tuple(map(int.__sub__, head, b)) + half_mid) for b in betas]
+            betas = [_weight_key(b) for b in betas]
+            mus = {mu: [_kostka(mu.parts, a) for a in alphas] for mu in {r.first for r in group}}
+            nus = {nu: [_kostka(nu.parts, b) for b in betas] for nu in {r.second for r in group}}
+            for rho in group:
+                table[rho][dcomp] = sum(map(int.__mul__, mus[rho.first], nus[rho.second]))
+    return table
 
 
 def dominance_leq(a: Partition, b: Partition) -> bool:
@@ -425,7 +429,7 @@ def type_c_collapse(p: Partition) -> Partition:
         raise ValueError(f"collapse needs even size, got |{p}| = {p.size()}")
     parts = list(p.parts)
     for _ in range(p.size() * p.size() + 1):
-        bad = [v for v, m in _multiplicities(parts).items() if v % 2 and m % 2]
+        bad = [v for v, m in Partition(parts).multiplicities().items() if v % 2 and m % 2]
         if not bad:
             break
         v = max(bad)
@@ -442,10 +446,3 @@ def type_c_collapse(p: Partition) -> Partition:
     else:
         raise ArithmeticError(f"collapse of {p} did not terminate")
     return Partition(parts)
-
-
-def _multiplicities(parts) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for x in parts:
-        out[x] = out.get(x, 0) + 1
-    return out

@@ -84,13 +84,6 @@ def springer_orbit(rho: Bipartition, extra_padding: int = 0) -> Partition:
     return result
 
 
-def orbit_fiber(a: Partition, d: int) -> list[Bipartition]:
-    """All bipartitions of d whose orbit is a, in enumeration order."""
-    if a.size() != 2 * d:
-        raise ValueError(f"|{a}| = {a.size()} but expected {2 * d}")
-    return [rho for rho in enumerate_bipartitions(d) if springer_orbit(rho) == a]
-
-
 def springer_image(d: int) -> dict[Partition, list[Bipartition]]:
     """Fibers over every type-C partition of 2d (fibers may be empty)."""
     out: dict[Partition, list[Bipartition]] = {

@@ -25,7 +25,7 @@ What stays here is what `verify sw` runs: the integer-scaled isotypic
 projectors, validated idempotent, and their ranks by fraction-free
 elimination, which decompose the bimodule.  Multiplicities graded by flag
 component need no matrix at all: they are sums of products of Kostka
-numbers (partitions.graded_multiplicity).
+numbers, built a table at a time by partitions.graded_multiplicities.
 """
 
 from __future__ import annotations

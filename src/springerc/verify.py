@@ -17,7 +17,7 @@ from .partitions import (
     enumerate_sym_compositions,
     enumerate_type_c,
     gl_dim,
-    graded_multiplicity,
+    graded_multiplicities,
     irr_dim,
     is_type_c,
 )
@@ -136,7 +136,7 @@ def suite_springer() -> list[CheckResult]:
             if springer.springer_orbit(rho, extra_padding=3) != orbit:
                 ok = False
         out.append(_check(f"valid type-C output and padding stability d={d}", ok))
-    fiber = springer.orbit_fiber(Partition([2, 2]), 2)
+    fiber = springer.springer_image(2)[Partition([2, 2])]
     out.append(
         _check(
             "fiber over (2,2) has the two expected labels",
@@ -233,8 +233,8 @@ def suite_schur_weyl() -> list[CheckResult]:
         )
     )
     graded_ok = all(
-        graded_multiplicity(rho, 2, 2).total == decompositions[2, 2][rho]
-        for rho in enumerate_bipartitions(2)
+        sum(per_weight.values()) == decompositions[2, 2][rho]
+        for rho, per_weight in graded_multiplicities(2, 2, enumerate_bipartitions(2)).items()
     )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
     flags = list(geometry.iter_flag_matrices(2, 2))

@@ -146,6 +146,67 @@ def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
     return per_weight
 
 
+def graded_multiplicity_per_label(rho, n: int, d: int) -> dict:
+    """Reference for partitions.graded_multiplicities, one bipartition at a time.
+
+    The weight multiplicity sum over beta of K(mu, alpha) * K(nu, beta),
+    beta_i <= w_i, |beta| = |nu|, alpha = (w - beta, w_mid / 2), evaluated
+    component by component with no rows shared between labels.  Returns
+    {component: multiplicity}.
+    """
+    from springerc.partitions import bounded_compositions, enumerate_sym_compositions, kostka
+
+    mu, nu = rho.first, rho.second
+    per_weight = {}
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
+        head = dcomp.entries[:n]
+        half_mid = (dcomp.entries[n] // 2,)
+        per_weight[dcomp] = sum(
+            kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
+            * kostka(nu, beta)
+            for beta in bounded_compositions(nu.size(), head)
+        )
+    return per_weight
+
+
+def _compositions(total: int, parts: int):
+    """Every tuple of `parts` nonnegative integers summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def steinberg_count(rows: tuple, cols: tuple) -> int:
+    """|W_D \\ W / W_D'| for the components with entries rows = D and cols = D'.
+
+    Counts the N x N matrices of nonnegative integers that are
+    centro-symmetric (a[i][j] = a[N-1-i][N-1-j]), have row sums D and
+    column sums D', and an even centre entry.  The top rows and the middle
+    row are chosen freely with their row sums, the bottom rows are their
+    mirror images, and every condition is then checked on the whole matrix.
+    """
+    big_n = len(rows)
+    half = big_n // 2
+    count = 0
+    for top in itertools.product(*(_compositions(rows[i], big_n) for i in range(half))):
+        for middle in _compositions(rows[half], big_n):
+            matrix = list(top) + [middle] + [row[::-1] for row in reversed(top)]
+            count += (
+                all(
+                    matrix[i][j] == matrix[big_n - 1 - i][big_n - 1 - j]
+                    for i in range(big_n)
+                    for j in range(big_n)
+                )
+                and tuple(map(sum, matrix)) == rows
+                and tuple(map(sum, zip(*matrix))) == cols
+                and matrix[half][half] % 2 == 0
+            )
+    return count
+
+
 def _n_statistic(parts) -> int:
     """n(lambda): the sum of (row index) * (row length), rows counted from 0."""
     return sum(i * part for i, part in enumerate(parts))

@@ -22,7 +22,7 @@ from springerc.cli import main
 from springerc.geometry import (
     component_nonempty,
     flag_dim,
-    htop_report,
+    htop_table,
     iter_flag_matrices,
     orbit_dim,
     richardson,
@@ -118,7 +118,7 @@ def test_criterion_2_component_list():
 
 def test_criterion_3_main_orbit():
     with criterion(3, "top homology over the subsubregular orbit", 60.0):
-        report = htop_report(Partition([2, 1, 1]), 2, 2)
+        [report] = htop_table(2, 2, Partition([2, 1, 1]))
         per = {str(k): v for k, v in report.per_component.items()}
         assert [per[c] for c in (D1, D2, D3, D4, D5, D6)] == [1, 0, 0, 1, 1, 0]
         assert report.total == 3
@@ -126,11 +126,9 @@ def test_criterion_3_main_orbit():
 
 def test_criterion_4_remaining_orbits():
     with criterion(4, "top homology over the remaining orbits", 120.0):
-        totals = {
-            str(a): htop_report(a, 2, 2).total for a in enumerate_type_c(4)
-        }
+        totals = {str(r.orbit): r.total for r in htop_table(2, 2)}
         assert totals == {"4": 1, "2,2": 9, "2,1,1": 3, "1,1,1,1": 6}
-        subregular = htop_report(Partition([2, 2]), 2, 2)
+        [subregular] = htop_table(2, 2, Partition([2, 2]))
         per = {str(k): v for k, v in subregular.per_component.items()}
         assert [per[c] for c in (D1, D2, D3, D4, D5, D6)] == [3, 2, 2, 1, 1, 0]
         assert sum(per.values()) == 3 + 2 + 2 + 1 + 1

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -97,7 +98,7 @@ def test_htop_guard_fires_before_enumeration(capsys, monkeypatch):
     def refuse(d):
         raise AssertionError("the Springer scan ran before the cost guard")
 
-    monkeypatch.setattr(springer, "springer_image", refuse)
+    monkeypatch.setattr(geometry, "springer_image", refuse)
     for n, d in (("6", "8"), ("0", "1000000000"), ("1000000000", "0")):
         code, _, err = run(capsys, "htop", "--n", n, "--d", d)
         assert code == 2
@@ -126,15 +127,15 @@ def test_htop_scans_each_label_once(capsys, monkeypatch):
 
 
 def test_failed_self_check_has_its_own_exit_code(capsys, monkeypatch):
-    real = partitions.graded_multiplicity
+    real = partitions.graded_multiplicities
 
-    def off_by_one(rho, n, d):
-        g = real(rho, n, d)
-        per_weight = dict(g.per_weight)
+    def off_by_one(n, d, labels):
+        table = real(n, d, labels)
+        per_weight = next(iter(table.values()))
         per_weight[next(iter(per_weight))] += 1
-        return partitions.GradedDecomposition(per_weight, g.total + 1)
+        return table
 
-    monkeypatch.setattr(geometry, "graded_multiplicity", off_by_one)
+    monkeypatch.setattr(geometry, "graded_multiplicities", off_by_one)
     code, out, err = run(capsys, "htop", "--n", "2", "--d", "2")
     assert code == 4
     assert out == ""
@@ -145,7 +146,29 @@ def test_failed_self_check_has_its_own_exit_code(capsys, monkeypatch):
 def test_htop_has_no_cell_ceiling_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["htop", "--n", "2", "--d", "2", "--max-cells", "10"])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code",
+    [
+        (["htop", "--n", "abc", "--d", "2"], 3),
+        (["htop", "--n", "2"], 3),
+        (["springer", "--d", "2", "--bogus"], 3),
+        (["nosuchcommand"], 3),
+        ([], 3),
+        (["--help"], 0),
+        (["theta", "--help"], 0),
+    ],
+)
+def test_usage_errors_are_invalid_input(capsys, argv, expected_code):
+    # Exit 2 means a resource bound, so a malformed command line exits 3.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == expected_code
+    assert ("usage:" in err) == bool(expected_code)
+    assert ("usage:" in out) == (not expected_code)
 
 
 def test_htop_tsv_shape(capsys):
@@ -294,6 +317,32 @@ def test_theta_refuses_a_row_wider_than_the_ceiling(capsys, n, d, fmt):
     assert "ceiling" in err
 
 
+def test_theta_refuses_a_huge_power_at_once(capsys):
+    # The width check admits d = 10^8 under this ceiling; the cell count
+    # must be refused without forming 3^(10^8).
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "theta", "--n", "1", "--d", "100000000", "--max-cells", "1000000000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "3^100000000" in err
+
+
+def exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=-2, max_value=4),
@@ -314,16 +363,43 @@ def test_theta_fuzz_exits_cleanly(n, d, component, fmt, max_cells):
         argv.append(f"--component={component}")
     if max_cells is not None:
         argv.append(f"--max-cells={max_cells}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-    assert code in (0, 2, 3)
-    assert "Traceback" not in err.getvalue()
-    if code:
-        assert out.getvalue() == ""
+    exit_cleanly(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=-2, max_value=7),
+    d=st.one_of(
+        st.integers(min_value=-2, max_value=4),
+        st.sampled_from(["x", "", "1.5", "1000000000"]),
+    ),
+    orbit=st.one_of(
+        st.none(),
+        st.text(alphabet="0123456789,-+ |x", max_size=10),
+        st.lists(st.integers(min_value=-2, max_value=9), max_size=8).map(
+            lambda xs: ",".join(map(str, xs))
+        ),
+    ),
+    fmt=st.sampled_from(["tsv", "json", "pretty"]),
+)
+def test_htop_fuzz_exits_cleanly(n, d, orbit, fmt):
+    argv = ["htop", f"--n={n}", f"--d={d}", f"--format={fmt}"]
+    if orbit is not None:
+        argv.append(f"--orbit={orbit}")
+    exit_cleanly(argv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.one_of(
+        st.integers(min_value=-3, max_value=8),
+        st.integers(min_value=11, max_value=10**12),
+        st.text(alphabet="0123456789-+ .x", max_size=6),
+    ),
+    fmt=st.sampled_from(["tsv", "json", "pretty"]),
+)
+def test_springer_fuzz_exits_cleanly(d, fmt):
+    exit_cleanly(["springer", f"--d={d}", f"--format={fmt}"])
 
 
 @pytest.mark.parametrize("suite", ["sw", "springer", "geometry", "characters", "all"])

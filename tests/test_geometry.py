@@ -6,7 +6,7 @@ from springerc import geometry
 from springerc.geometry import (
     component_nonempty,
     flag_dim,
-    htop_report,
+    htop_table,
     iter_flag_matrices,
     orbit_dim,
     richardson,
@@ -94,7 +94,7 @@ def test_top_degree_examples():
 
 
 def test_htop_report_main_orbit():
-    report = htop_report(part("2,1,1"), 2, 2)
+    report = htop_table(2, 2, part("2,1,1"))[0]
     assert report.total == 3
     per = {str(k): v for k, v in report.per_component.items()}
     assert per == {
@@ -114,9 +114,7 @@ def test_htop_report_main_orbit():
 
 def test_htop_totals_all_orbits():
     expected = {"4": 1, "2,2": 9, "2,1,1": 3, "1,1,1,1": 6}
-    totals = {}
-    for a in enumerate_type_c(4):
-        totals[str(a)] = htop_report(a, 2, 2).total
+    totals = {str(r.orbit): r.total for r in htop_table(2, 2)}
     assert totals == expected
     assert sum(totals.values()) == 19
     # mass check: the same 19 is the sum of weight-space dimensions
@@ -130,7 +128,7 @@ def test_htop_totals_all_orbits():
 
 
 def test_htop_subregular_profile():
-    report = htop_report(part("2,2"), 2, 2)
+    report = htop_table(2, 2, part("2,2"))[0]
     per = {str(k): v for k, v in report.per_component.items()}
     assert per == {
         "1,1,0,1,1": 3,
@@ -143,21 +141,21 @@ def test_htop_subregular_profile():
 
 
 def test_htop_zero_orbit_counts_components():
-    report = htop_report(part("1,1,1,1"), 2, 2)
+    report = htop_table(2, 2, part("1,1,1,1"))[0]
     assert all(v == 1 for v in report.per_component.values())
     assert report.total == 6
 
 
 def test_htop_vanishes_outside_image_closure():
     for a in enumerate_type_c(4):
-        report = htop_report(a, 2, 2)
+        report = htop_table(2, 2, a)[0]
         for dcomp in enumerate_sym_compositions(2, 4):
             if not component_nonempty(a, dcomp):
                 assert report.per_component[dcomp] == 0
 
 
 def test_htop_report_json_schema():
-    payload = htop_report(part("2,1,1"), 2, 2).to_json_dict()
+    payload = htop_table(2, 2, part("2,1,1"))[0].to_json_dict()
     assert payload["orbit"] == "2,1,1"
     assert payload["total"] == 3
     assert payload["contributing"] == [{"rho": "-|1,1", "rho_dual": "-|2", "dim": 3}]
@@ -169,17 +167,18 @@ def test_htop_report_json_schema():
 
 def test_htop_input_validation():
     with pytest.raises(ValueError):
-        htop_report(part("3,1"), 2, 2)
+        htop_table(2, 2, part("3,1"))
     with pytest.raises(ValueError):
-        htop_report(part("2,2"), 2, 3)
+        htop_table(2, 3, part("2,2"))
+    with pytest.raises(ValueError):
+        htop_table(-1, 2)
 
 
-def test_htop_report_reads_a_given_fiber():
-    from springerc.springer import springer_image
-
-    image = springer_image(2)
-    for a, fiber in image.items():
-        assert htop_report(a, 2, 2, fiber) == htop_report(a, 2, 2)
+def test_single_orbit_reports_match_the_full_table():
+    for d in (2, 3):
+        full = htop_table(2, d)
+        assert [r.orbit for r in full] == enumerate_type_c(2 * d)
+        assert full == [htop_table(2, d, a)[0] for a in enumerate_type_c(2 * d)]
 
 
 def test_htop_empty_fiber_is_fine():
@@ -191,7 +190,7 @@ def test_htop_empty_fiber_is_fine():
         image = springer_image(d)
         for a, fiber in image.items():
             if not fiber:
-                report = htop_report(a, 2, d)
+                report = htop_table(2, d, a)[0]
                 assert report.total == 0
 
 
@@ -206,15 +205,13 @@ def test_htop_report_finds_each_richardson_orbit_once(monkeypatch):
     monkeypatch.setattr(geometry, "richardson", counted)
     for a in enumerate_type_c(4):
         calls.clear()
-        htop_report(a, 2, 2)
+        htop_table(2, 2, a)
         assert sorted(calls, key=str) == sorted(Q54.values(), key=str), a
 
 
 def test_full_table_finds_each_richardson_orbit_once(monkeypatch):
     # Over a whole table the body of richardson, self-check included, runs
     # once per component, not once per (orbit, component) pair.
-    from springerc.springer import springer_image
-
     collapses = []
     real = geometry.type_c_collapse
 
@@ -224,10 +221,7 @@ def test_full_table_finds_each_richardson_orbit_once(monkeypatch):
 
     monkeypatch.setattr(geometry, "type_c_collapse", counted)
     geometry.richardson.cache_clear()
-    image = springer_image(3)
-    for a, fiber in image.items():
-        htop_report(a, 2, 3, fiber)
-    assert len(image) > 1
+    assert len(htop_table(2, 3)) > 1
     assert len(collapses) == len(enumerate_sym_compositions(2, 6))
 
 

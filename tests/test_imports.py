@@ -101,8 +101,8 @@ def test_public_names_resolve():
 
 
 def test_readme_example():
-    from springerc import Partition, htop_report
+    from springerc import Partition, htop_table
 
-    report = htop_report(Partition([2, 1, 1]), n=2, d=2)
+    report = htop_table(2, 2, Partition([2, 1, 1]))[0]
     assert report.total == 3
     assert report.degrees.keys() == report.per_component.keys()

@@ -11,7 +11,6 @@ from springerc.partitions import (
 )
 from springerc.springer import (
     interleave_bipartition,
-    orbit_fiber,
     springer_image,
     springer_orbit,
 )
@@ -58,12 +57,11 @@ def test_padding_stability():
 
 
 def test_orbit_fiber():
-    fiber = orbit_fiber(Partition([2, 2]), 2)
-    assert {str(r) for r in fiber} == {"2|-", "1|1"}
-    assert [str(r) for r in orbit_fiber(Partition([4]), 2)] == ["-|2"]
-    assert orbit_fiber(Partition([2]), 1)
-    with pytest.raises(ValueError):
-        orbit_fiber(Partition([2, 2]), 3)
+    image = springer_image(2)
+    assert {str(r) for r in image[Partition([2, 2])]} == {"2|-", "1|1"}
+    assert [str(r) for r in image[Partition([4])]] == ["-|2"]
+    assert springer_image(1)[Partition([2])]
+    assert Partition([2, 2]) not in springer_image(3)
 
 
 def test_map_is_not_injective():

@@ -11,7 +11,7 @@ from dense import (
     tensor_grading,
     w_action_matrix,
 )
-from oracles import graded_multiplicity_by_projector
+from oracles import graded_multiplicity_by_projector, graded_multiplicity_per_label, steinberg_count
 from springerc.geometry import FlagMatrix, iter_flag_matrices
 from springerc.hyperoctahedral import (
     SignedPermutation,
@@ -28,7 +28,7 @@ from springerc.partitions import (
     enumerate_bipartitions,
     enumerate_sym_compositions,
     gl_dim,
-    graded_multiplicity,
+    graded_multiplicities,
     irr_dim,
 )
 from springerc.tensor import (
@@ -321,45 +321,72 @@ def test_graded_multiplicity_golden_profiles():
         "-|2": [1, 0, 0, 1, 1, 0],
         "-|1,1": [1, 0, 0, 0, 0, 0],
     }
+    table = graded_multiplicities(2, 2, [bp(text) for text in expected])
+    assert [str(rho) for rho in table] == list(expected)
     for rho_text, profile in expected.items():
-        g = graded_multiplicity(bp(rho_text), 2, 2)
-        got = {str(k): v for k, v in g.per_weight.items()}
+        got = {str(k): v for k, v in table[bp(rho_text)].items()}
         assert [got[c] for c in order] == profile, rho_text
-        assert g.total == sum(profile)
 
 
 @pytest.mark.parametrize(
     "n,d", [(n, d) for n in range(4) for d in range(1, 4)] + [(1, 4)]
 )
 def test_kostka_engine_matches_projector_block_ranks(n, d):
-    for rho in enumerate_bipartitions(d):
-        g = graded_multiplicity(rho, n, d)
-        assert g.per_weight == graded_multiplicity_by_projector(rho, n, d), rho
-        assert g.total == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
+    table = graded_multiplicities(n, d, enumerate_bipartitions(d))
+    for rho, per_weight in table.items():
+        assert per_weight == graded_multiplicity_by_projector(rho, n, d), rho
+        assert sum(per_weight.values()) == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
+
+
+@pytest.mark.parametrize("n,d", [(2, 5), (1, 7), (0, 9), (4, 3), (3, 4)])
+def test_table_matches_the_per_label_engine(n, d):
+    # Points beyond the projector's reach: the reference walks one label
+    # at a time and shares no Kostka rows.
+    table = graded_multiplicities(n, d, enumerate_bipartitions(d))
+    assert list(table) == enumerate_bipartitions(d)
+    for rho, per_weight in table.items():
+        assert per_weight == graded_multiplicity_per_label(rho, n, d), rho
+        assert sum(per_weight.values()) == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
+
+
+@pytest.mark.parametrize("n,d", [(0, 3), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+def test_table_gram_matrix_counts_double_cosets(n, d):
+    # The Steinberg-variety piece over a pair of components has dimension
+    # |W_D \ W / W_D'|, which the Gram matrix of the table must reproduce.
+    table = graded_multiplicities(n, d, enumerate_bipartitions(d))
+    components = enumerate_sym_compositions(n, 2 * d)
+    for row in components:
+        for col in components:
+            gram = sum(per_weight[row] * per_weight[col] for per_weight in table.values())
+            assert gram == steinberg_count(row.entries, col.entries), (row, col)
+
+
+def test_table_computes_only_the_requested_labels():
+    full = graded_multiplicities(2, 4, enumerate_bipartitions(4))
+    labels = [bp("2,1|1"), bp("-|4"), bp("1,1,1,1|-")]
+    assert graded_multiplicities(2, 4, labels) == {rho: full[rho] for rho in labels}
 
 
 def test_graded_multiplicity_at_rank_zero():
     # no projector exists at d = 0; the single component carries the
     # trivial module once
     for n in range(3):
-        g = graded_multiplicity(bp("-|-"), n, 0)
-        assert list(g.per_weight.values()) == [1]
-        assert g.total == 1
+        table = graded_multiplicities(n, 0, [bp("-|-")])
+        assert list(table[bp("-|-")].values()) == [1]
 
 
 def test_graded_multiplicity_guards():
     with pytest.raises(ValueError):
-        graded_multiplicity(bp("1|1"), 2, 3)
+        graded_multiplicities(2, 3, [bp("1|1")])
     with pytest.raises(CostBoundExceeded):
-        graded_multiplicity(bp("3,3,2|"), 6, 8)
+        graded_multiplicities(6, 8, [bp("3,3,2|")])
 
 
 def test_graded_blocks_account_for_every_basis_vector():
     n = d = 2
     sizes = {str(c): 0 for c in enumerate_sym_compositions(n, 2 * d)}
-    for rho in enumerate_bipartitions(d):
-        g = graded_multiplicity(rho, n, d)
-        for dcomp, mult in g.per_weight.items():
+    for rho, per_weight in graded_multiplicities(n, d, enumerate_bipartitions(d)).items():
+        for dcomp, mult in per_weight.items():
             sizes[str(dcomp)] += irr_dim(rho) * mult
     assert sizes == {
         "1,1,0,1,1": 8,
