@@ -10,7 +10,6 @@ import importlib
 _EXPORTS = {
     "exact": ("bareiss_rank",),
     "geometry": (
-        "FlagMatrix",
         "HtopReport",
         "component_nonempty",
         "flag_dim",

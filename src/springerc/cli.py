@@ -167,50 +167,43 @@ def cmd_theta(args) -> int:
     from .geometry import iter_flag_matrices
     from .partitions import SymComposition
 
-    n, d = args.n, args.d
-    if n < 0 or d < 0:
-        raise ValueError("--n and --d must be nonnegative")
-    dcomp = None
-    if args.component is not None:
-        dcomp = SymComposition.from_string(args.component)
-        if dcomp.n != n or dcomp.total != 2 * d:
-            raise ValueError(
-                f"component {args.component!r} does not match n={n}, total {2 * d}"
-            )
+    dcomp = None if args.component is None else SymComposition.from_string(args.component)
     # Every check runs here, before the first byte of output.
-    matrices = iter_flag_matrices(n, d, dcomp, args.max_cells)
+    flags = iter_flag_matrices(args.n, args.d, dcomp, args.max_cells)
+    d, rows = args.d, range(1, 2 * args.n + 2)
     gradings: dict[tuple[int, ...], str] = {}
-
-    def grading(m) -> str:
-        # Few distinct gradings occur, so each is built and validated once.
-        sums = m.row_sums()
-        if sums not in gradings:
-            gradings[sums] = str(m.grading())
-        return gradings[sums]
 
     def joined(values) -> str:
         return ",".join(map(str, values))
 
+    def grading(sums) -> str:
+        # Few distinct gradings occur, so each is formatted once.
+        if sums not in gradings:
+            gradings[sums] = joined(sums)
+        return gradings[sums]
+
     if args.format == "json":
-        rows = [
-            {"columns": list(m.col_rows), "chi": joined(m.tensor_index()), "grading": grading(m)}
-            for m in matrices
+        matrices = [
+            {"columns": list(cols), "chi": joined(cols[:d]), "grading": grading(sums)}
+            for cols, sums in flags
         ]
-        _print_json({"count": len(rows), "matrices": rows})
+        _print_json({"count": len(matrices), "matrices": matrices})
         return EXIT_OK
 
     def tsv():
         yield "columns\tchi\tgrading\n"
         count = 0
-        for count, m in enumerate(matrices, 1):
-            yield f"{joined(m.col_rows)}\t{joined(m.tensor_index())}\t{grading(m)}\n"
+        for count, (cols, sums) in enumerate(flags, 1):
+            yield f"{joined(cols)}\t{joined(cols[:d])}\t{grading(sums)}\n"
         yield f"count\t{count}\t\n"
 
     def pretty():
         count = 0
-        for count, m in enumerate(matrices, 1):
-            grid = "".join(f"  {' '.join(map(str, row))}\n" for row in m.entries())
-            yield f"matrix {count}: chi {joined(m.tensor_index())}  grading {grading(m)}\n{grid}"
+        for count, (cols, sums) in enumerate(flags, 1):
+            grid = "".join(
+                f"  {' '.join('1' if r == i else '0' for r in cols)}\n" for i in rows
+            )
+            yield f"matrix {count}: chi {joined(cols[:d])}  grading {grading(sums)}\n{grid}"
         yield f"count {count}\n"
 
     _write_blocks(tsv() if args.format == "tsv" else pretty())

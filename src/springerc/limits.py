@@ -4,7 +4,7 @@ from math import comb
 
 DEFAULT_MAX_CELLS = 20000
 MAX_CHARACTER_TABLE_RANK = 6
-MAX_SPRINGER_TABLE_RANK = 10
+MAX_SPRINGER_TABLE_RANK = 18  # the largest d that htop --n 0 admits
 MAX_HTOP_WORK = 5_000_000
 
 

@@ -115,9 +115,6 @@ class Bipartition:
     def __str__(self) -> str:
         return f"{self.first}|{self.second}"
 
-    def sort_key(self):
-        return (self.first.parts, self.second.parts)
-
     @classmethod
     def from_string(cls, text: str) -> "Bipartition":
         halves = text.strip().split("|")
@@ -156,9 +153,6 @@ class SymComposition:
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.entries)
-
-    def sort_key(self):
-        return self.entries
 
     @classmethod
     def from_string(cls, text: str) -> "SymComposition":

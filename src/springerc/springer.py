@@ -15,8 +15,10 @@ consumption policy (pair-rules eat two positions) is the one that
 reproduces the full rank-2 correspondence table; the scan is golden-tested
 against it.  The emitted values are sorted into weakly decreasing order
 before validation (from d = 6 on, some labels emit them out of order; the
-b-invariant oracle in the tests checks the sorted result), and the result must be a type-C partition of twice the
-bipartition size or the scan aborts loudly.
+b-invariant oracle in the tests checks the sorted result).  The result
+must be a type-C partition of twice the bipartition size; anything else is
+a bug in the scan, not bad input, so it raises ArithmeticError (the CLI's
+"self-check failed", exit 4).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def springer_orbit(rho: Bipartition, extra_padding: int = 0) -> Partition:
     raw = _scan(nu)
     result = Partition(sorted(raw, reverse=True))
     if result.size() != 2 * rho.size() or not is_type_c(result):
-        raise ValueError(
+        raise ArithmeticError(
             f"scan failed for {rho}: nu={nu} gave a={raw}, "
             f"which is not a type-C partition of {2 * rho.size()}"
         )

@@ -5,7 +5,7 @@ tuples (i_1..i_d) with entries in 1..N, in one of two conventions:
 
 * ``swap``: the underlying permutation permutes tensor slots and the flip
   at slot k replaces i_k by N+1-i_k.  This is the action transported from
-  the coordinate-flag model (geometry.FlagMatrix), so it is a pure
+  the coordinate-flag model (geometry.iter_flag_matrices), so it is a pure
   permutation of basis vectors.
 * ``sign``: slots are permuted the same way but the flip at slot k scales
   the basis vector by -1 exactly when i_k lies in 1..n+1.  The negated

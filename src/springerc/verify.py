@@ -238,7 +238,7 @@ def suite_schur_weyl() -> list[CheckResult]:
     )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
     flags = list(geometry.iter_flag_matrices(2, 2))
-    images = {m.tensor_index() for m in flags}
+    images = {cols[:2] for cols, _ in flags}
     out.append(
         _check(
             "flag matrices count and bijection",
@@ -249,9 +249,7 @@ def suite_schur_weyl() -> list[CheckResult]:
     fixed_ok = True
     for dcomp in enumerate_sym_compositions(2, 4):
         char = ho.coset_permutation_character(dcomp)
-        block = [
-            m.tensor_index() for m in geometry.iter_flag_matrices(2, 2, dcomp)
-        ]
+        block = [cols[:2] for cols, _ in geometry.iter_flag_matrices(2, 2, dcomp)]
         for cls, expected in char.items():
             w = ho.class_representative(cls)
             fixed = sum(

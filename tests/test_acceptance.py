@@ -148,11 +148,11 @@ def test_criterion_6_flag_matrix_combinatorics():
     with criterion(6, "flag matrices and coset characters", 5.0):
         flags = list(iter_flag_matrices(2, 2))
         assert len(flags) == 25
-        images = {m.tensor_index() for m in flags}
+        images = {cols[:2] for cols, _ in flags}
         assert len(images) == 25 and images == set(tensor_basis(2, 2))
         for dcomp in enumerate_sym_compositions(2, 4):
             char = coset_permutation_character(dcomp)
-            block = [m.tensor_index() for m in iter_flag_matrices(2, 2, dcomp)]
+            block = [cols[:2] for cols, _ in iter_flag_matrices(2, 2, dcomp)]
             for cls, expected in char.items():
                 w = class_representative(cls)
                 fixed = sum(1 for t in block if _apply_swap(w, t, 5) == t)

@@ -241,4 +241,9 @@ def test_iter_flag_matrices_checks_before_the_first_matrix():
         iter_flag_matrices(5, 5)
     with pytest.raises(ValueError):
         iter_flag_matrices(2, 2, SymComposition.from_string("1,0,1"))
-    assert next(iter_flag_matrices(2, 2)).col_rows == (1, 1, 5, 5)
+    # Input errors come before the ceilings: this pair is also too large.
+    with pytest.raises(ValueError):
+        iter_flag_matrices(5, 5, SymComposition.from_string("1,0,1"))
+    with pytest.raises(ValueError):
+        iter_flag_matrices(-1, 2)
+    assert next(iter_flag_matrices(2, 2)) == ((1, 1, 5, 5), (2, 0, 0, 0, 2))
