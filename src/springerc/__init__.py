@@ -21,7 +21,6 @@ _EXPORTS = {
     ),
     "hyperoctahedral": (
         "CharacterTable",
-        "SignedCycleType",
         "SignedPermutation",
         "character_table",
         "character_value",

@@ -6,8 +6,9 @@ signs[k] is the +-1 attached to letter k+1, with the wreath-product law
     (p1, s1) * (p2, s2) = (p1 o p2, k |-> s1(p2(k)) * s2(k)).
 
 Conjugacy classes are indexed by signed cycle types: a cycle is positive or
-negative according to the product of the signs along it, giving a pair of
-partitions (pos, neg) with |pos| + |neg| = d.
+negative according to the product of the signs along it, giving a
+bipartition pos|neg of d (the same `Bipartition` type that labels the
+irreducibles).
 
 Irreducible characters are indexed by bipartitions (mu, nu) of d and built
 by induction from the block subgroup W_a x W_b (a = |mu|, b = |nu|): the
@@ -20,14 +21,16 @@ is the labelling the Springer map and all golden tables assume.
 
 Induced values are evaluated with the coset-sum formula over explicit coset
 representatives, one per a-subset of {1..d}; this stays exact and cheap for
-every rank the table builder accepts.
+every rank the table builder accepts.  Permutation characters on the cosets
+of a block subgroup are counted in one pass over the group, from the cycle
+types of the subgroup's elements.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -90,6 +93,10 @@ class SignedPermutation:
             out *= s
         return out
 
+    def perm_sign(self) -> int:
+        """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
+        return (-1) ** (self.d - sum(1 for _ in _cycles(self)))
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SignedPermutation)
@@ -102,31 +109,6 @@ class SignedPermutation:
 
     def __repr__(self) -> str:
         return f"SignedPermutation({list(self.window())})"
-
-    def sort_key(self):
-        return (self.images, self.signs)
-
-
-@dataclass(frozen=True)
-class SignedCycleType:
-    """Conjugacy class label: partitions of positive and negative cycle lengths."""
-
-    pos: Partition
-    neg: Partition
-
-    @property
-    def total(self) -> int:
-        return self.pos.size() + self.neg.size()
-
-    def __str__(self) -> str:
-        return f"{self.pos}|{self.neg}"
-
-    def perm_sign(self) -> int:
-        """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
-        return (-1) ** (self.total - len(self.pos) - len(self.neg))
-
-    def sort_key(self):
-        return (self.pos.parts, self.neg.parts)
 
 
 def iter_group(d: int):
@@ -158,28 +140,24 @@ def _cycles(w: SignedPermutation):
         yield start, length, sign
 
 
-def cycle_type(w: SignedPermutation) -> SignedCycleType:
-    """Signed cycle type: the lengths of the positive and negative cycles."""
+def cycle_type(w: SignedPermutation) -> Bipartition:
+    """Signed cycle type pos|neg: the lengths of the positive and negative cycles."""
     pos, neg = [], []
     for _start, length, sign in _cycles(w):
         (pos if sign == 1 else neg).append(length)
-    return SignedCycleType(
+    return Bipartition(
         Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True))
     )
 
 
-def conjugacy_class_labels(d: int) -> list[SignedCycleType]:
-    """All class labels of rank d, in lexicographic order on (pos, neg)."""
-    labels = [
-        SignedCycleType(bp.first, bp.second) for bp in enumerate_bipartitions(d)
-    ]
-    labels.sort(key=SignedCycleType.sort_key)
-    return labels
+def conjugacy_class_labels(d: int) -> list[Bipartition]:
+    """All class labels pos|neg of rank d, in lexicographic order on (pos, neg)."""
+    return sorted(enumerate_bipartitions(d), key=lambda c: (c.first.parts, c.second.parts))
 
 
-def class_representative(cls: SignedCycleType) -> SignedPermutation:
+def class_representative(cls: Bipartition) -> SignedPermutation:
     """Canonical representative: consecutive cycles, one flip per negative cycle."""
-    d = cls.total
+    d = cls.size()
     images = list(range(1, d + 1))
     signs = [1] * d
     cursor = 1
@@ -193,20 +171,20 @@ def class_representative(cls: SignedCycleType) -> SignedPermutation:
             signs[cursor - 1 + length - 1] = -1
         cursor += length
 
-    for part in cls.pos:
+    for part in cls.first:
         place(part, False)
-    for part in cls.neg:
+    for part in cls.second:
         place(part, True)
     return SignedPermutation(images, signs)
 
 
-def class_size(cls: SignedCycleType) -> int:
+def class_size(cls: Bipartition) -> int:
     """2^d d! divided by the centralizer order prod (2k)^m_k m_k!."""
     z = 1
-    for partition in (cls.pos, cls.neg):
+    for partition in (cls.first, cls.second):
         for k, m in partition.multiplicities().items():
             z *= (2 * k) ** m * factorial(m)
-    return group_order(cls.total) // z
+    return group_order(cls.size()) // z
 
 
 @lru_cache(maxsize=None)
@@ -270,11 +248,11 @@ def _block_cycle_types(y: SignedPermutation, a: int) -> tuple[Partition, Partiti
     )
 
 
-def character_value(rho: Bipartition, cls: SignedCycleType) -> int:
+def character_value(rho: Bipartition, cls: Bipartition) -> int:
     """Exact character value of the irreducible `rho` at the class `cls`."""
     d = rho.size()
-    if cls.total != d:
-        raise ValueError(f"size mismatch: |{rho}| = {d} but class has total {cls.total}")
+    if cls.size() != d:
+        raise ValueError(f"size mismatch: |{rho}| = {d} but class has total {cls.size()}")
     if d == 0:
         return 1
     a = rho.first.size()
@@ -299,18 +277,18 @@ class CharacterTable:
 
     d: int
     rows: tuple[Bipartition, ...]
-    cols: tuple[SignedCycleType, ...]
+    cols: tuple[Bipartition, ...]
     values: dict
     class_sizes: dict
 
-    def value(self, rho: Bipartition, cls: SignedCycleType) -> int:
+    def value(self, rho: Bipartition, cls: Bipartition) -> int:
         return self.values[(rho, cls)]
 
     def dim(self, rho: Bipartition) -> int:
         return self.values[(rho, self.identity_class())]
 
-    def identity_class(self) -> SignedCycleType:
-        return SignedCycleType(Partition([1] * self.d), Partition())
+    def identity_class(self) -> Bipartition:
+        return Bipartition(Partition([1] * self.d), Partition())
 
     @property
     def group_order(self) -> int:
@@ -332,88 +310,42 @@ def character_table(d: int) -> CharacterTable:
     return CharacterTable(d, rows, cols, values, sizes)
 
 
-def _block_sizes(dcomp) -> tuple[int, ...]:
-    # Blocks of the coset subgroup: the first n entries, then half the middle.
-    n = dcomp.n
-    return tuple(dcomp.entries[:n]) + (dcomp.entries[n] // 2,)
+def coset_permutation_character(dcomp) -> dict[Bipartition, int]:
+    """Permutation character of the action on cosets of the block subgroup H.
 
+    H places plain symmetric groups on consecutive blocks sized by the first
+    n entries of the symmetric composition, and a full signed-permutation
+    group on a final block of half the middle entry, so the blocks cover
+    d = total/2 letters.  The value at the class of g is the number of
+    cosets g fixes,
 
-def _block_bounds(sizes) -> list[tuple[int, int]]:
-    bounds, start = [], 1
-    for s in sizes:
-        bounds.append((start, start + s - 1))
-        start += s
-    return bounds
+        Ind_H^W 1 (g) = |W| * |cl(g) & H| / (|cl(g)| * |H|),
 
-
-def _in_coset_subgroup(w: SignedPermutation, bounds) -> bool:
-    # Plain symmetric blocks demand + signs; the last block allows any sign.
-    for i, (lo, hi) in enumerate(bounds):
-        last = i == len(bounds) - 1
-        for k in range(lo, hi + 1):
-            if not lo <= w.images[k - 1] <= hi:
-                return False
-            if not last and w.signs[k - 1] != 1:
-                return False
-    return True
-
-
-def _subgroup_elements(d: int, bounds) -> list[SignedPermutation]:
-    per_block = []
-    for i, (lo, hi) in enumerate(bounds):
-        size = hi - lo + 1
-        last = i == len(bounds) - 1
-        block = []
-        for images in itertools.permutations(range(lo, hi + 1)):
-            sign_choices = (
-                itertools.product((1, -1), repeat=size) if last else [(1,) * size]
-            )
-            for signs in sign_choices:
-                block.append((images, signs))
-        per_block.append(block)
-    out = []
-    for combo in itertools.product(*per_block):
-        images = list(range(1, d + 1))
-        signs = [1] * d
-        for (lo, _hi), (blk_images, blk_signs) in zip(bounds, combo):
-            for off, (im, s) in enumerate(zip(blk_images, blk_signs)):
-                images[lo - 1 + off] = im
-                signs[lo - 1 + off] = s
-        out.append(SignedPermutation(images, signs))
-    return out
-
-
-def coset_permutation_character(dcomp) -> dict[SignedCycleType, int]:
-    """Permutation character of the action on cosets of the block subgroup.
-
-    The subgroup attached to a symmetric composition places plain symmetric
-    groups on consecutive blocks sized by the first n entries and a full
-    signed-permutation group on a final block of half the middle entry, so
-    the block sizes add up to d = total/2.  The value at a class is the
-    number of cosets fixed by its representative.
+    counted in one pass over W that keeps the elements of H.
     """
     d = dcomp.total // 2
     if d < 1:
         raise ValueError("composition total must be at least 2")
     if d > MAX_CHARACTER_TABLE_RANK:
         raise CostBoundExceeded(f"rank {d} above {MAX_CHARACTER_TABLE_RANK}")
-    bounds = _block_bounds(_block_sizes(dcomp))
-    subgroup = _subgroup_elements(d, bounds)
-    seen: set = set()
-    reps = []
-    for w in sorted(iter_group(d), key=SignedPermutation.sort_key):
-        if w in seen:
-            continue
-        reps.append(w)
-        for h in subgroup:
-            seen.add(w * h)
-    out = {}
-    for cls in conjugacy_class_labels(d):
-        g = class_representative(cls)
-        out[cls] = sum(
-            1 for t in reps if _in_coset_subgroup(t.inverse() * g * t, bounds)
+    sizes = list(dcomp.entries[: dcomp.n]) + [dcomp.entries[dcomp.n] // 2]
+    # w lies in H when it maps each letter into its own block and flips
+    # signs only on the last block.
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    last = len(sizes) - 1
+    counts = Counter(
+        cycle_type(w)
+        for w in iter_group(d)
+        if all(
+            block[im - 1] == b and (s == 1 or b == last)
+            for im, s, b in zip(w.images, w.signs, block)
         )
-    return out
+    )
+    order = sum(counts.values())
+    return {
+        cls: group_order(d) * counts[cls] // (class_size(cls) * order)
+        for cls in conjugacy_class_labels(d)
+    }
 
 
 def decompose_character(values, table: CharacterTable) -> dict[Bipartition, int]:
@@ -431,15 +363,14 @@ def decompose_character(values, table: CharacterTable) -> dict[Bipartition, int]
     out = {}
     for rho in table.rows:
         acc = sum(
-            Fraction(table.class_sizes[c]) * values[c] * table.value(rho, c)
-            for c in table.cols
+            table.class_sizes[c] * values[c] * table.value(rho, c) for c in table.cols
         )
-        mult = acc / order
-        if mult.denominator != 1 or mult < 0:
+        mult, rest = divmod(acc, order)
+        if rest or mult < 0:
             raise ValueError(
-                f"not a character: multiplicity of {rho} came out {mult}"
+                f"not a character: multiplicity of {rho} came out {acc}/{order}"
             )
-        out[rho] = int(mult)
+        out[rho] = mult
     for c in table.cols:
         recon = sum(out[rho] * table.value(rho, c) for rho in table.rows)
         if recon != values[c]:

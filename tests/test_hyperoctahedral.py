@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from dense import generators
 from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
-    SignedCycleType,
     SignedPermutation,
     _block_cycle_types,
     character_table,
@@ -25,6 +24,7 @@ from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
     Bipartition,
     Partition,
+    SymComposition,
     enumerate_bipartitions,
     enumerate_partitions,
     enumerate_sym_compositions,
@@ -41,7 +41,7 @@ def element_strategy(draw, d):
 
 
 def label(pos, neg):
-    return SignedCycleType(Partition(pos), Partition(neg))
+    return Bipartition(Partition(pos), Partition(neg))
 
 
 def test_generator_relations():
@@ -89,6 +89,7 @@ def test_rank_mismatch_rejected():
 
 
 def test_cycle_type_examples():
+    assert isinstance(cycle_type(SignedPermutation.identity(2)), Bipartition)
     assert cycle_type(SignedPermutation.identity(2)) == label([1, 1], [])
     s1, s2 = generators(2)
     assert cycle_type(s1) == label([1], [1])
@@ -110,7 +111,11 @@ def test_perm_sign_is_the_parity_of_the_inversions():
             inversions = sum(
                 1 for i in range(d) for j in range(i + 1, d) if w.images[i] > w.images[j]
             )
-            assert cycle_type(w).perm_sign() == (-1) ** inversions, w
+            assert w.perm_sign() == (-1) ** inversions, w
+
+
+def test_class_labels_keep_their_order():
+    assert [str(c) for c in conjugacy_class_labels(2)] == ["-|1,1", "-|2", "1|1", "1,1|-", "2|-"]
 
 
 def test_class_sizes_match_enumeration():
@@ -156,7 +161,7 @@ def test_linear_characters():
         full_sign = Bipartition(Partition([1] * d), Partition())
         for cls in table.cols:
             w = class_representative(cls)
-            sgn = (-1) ** (w.d - len(cls.pos) - len(cls.neg))
+            sgn = (-1) ** (w.d - len(cls.first) - len(cls.second))
             assert table.value(trivial, cls) == 1
             assert table.value(flip, cls) == w.flip_character()
             assert table.value(perm_sign, cls) == sgn
@@ -244,6 +249,17 @@ def test_coset_permutation_character_values():
     assert total == 5**2
     d6 = next(c for c in comps if c.entries == (0, 0, 4, 0, 0))
     assert all(v == 1 for v in coset_permutation_character(d6).values())
+
+
+def test_coset_character_guards_and_whole_group():
+    with pytest.raises(ValueError):
+        coset_permutation_character(SymComposition((0,), 0))
+    with pytest.raises(CostBoundExceeded):
+        coset_permutation_character(SymComposition((14,), 0))
+    # the subgroup of the one-block component is the whole group
+    char = coset_permutation_character(SymComposition((6,), 0))
+    assert set(char) == set(conjugacy_class_labels(3))
+    assert all(v == 1 for v in char.values())
 
 
 def test_coset_character_decomposes_integrally():

@@ -93,6 +93,12 @@ def test_verify_springer_loads_no_json():
     assert "json" not in loaded
 
 
+def test_verify_all_loads_no_fractions():
+    # characters, their orthogonality and decompositions are integer-only
+    loaded, _ = run_fresh("verify", "all")
+    assert "fractions" not in loaded
+
+
 def test_public_names_resolve():
     for name in springerc.__all__:
         assert getattr(springerc, name) is not None, name

@@ -149,14 +149,17 @@ def test_swap_action_is_block_diagonal_for_the_grading():
             assert gradings[target[p]] == gradings[p]
 
 
-def test_fixed_points_realize_coset_characters():
+@pytest.mark.parametrize(
+    "n, d", [(1, 1), (1, 2), (1, 3), (1, 4), (0, 3), (2, 2), (2, 3), (3, 2)]
+)
+def test_fixed_points_realize_coset_characters(n, d):
     # the flag matrices of one component form a copy of the coset space
-    for dcomp in enumerate_sym_compositions(2, 4):
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
         char = coset_permutation_character(dcomp)
-        block = [cols[:2] for cols, _ in iter_flag_matrices(2, 2, dcomp)]
-        for cls in conjugacy_class_labels(2):
+        block = [cols[:d] for cols, _ in iter_flag_matrices(n, d, dcomp)]
+        for cls in conjugacy_class_labels(d):
             w = class_representative(cls)
-            fixed = sum(1 for t in block if _apply_swap(w, t, 5) == t)
+            fixed = sum(1 for t in block if _apply_swap(w, t, 2 * n + 1) == t)
             assert fixed == char[cls], (str(dcomp), str(cls))
 
 
