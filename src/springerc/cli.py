@@ -170,40 +170,44 @@ def cmd_theta(args) -> int:
     dcomp = None if args.component is None else SymComposition.from_string(args.component)
     # Every check runs here, before the first byte of output.
     flags = iter_flag_matrices(args.n, args.d, dcomp, args.max_cells)
-    d, rows = args.d, range(1, 2 * args.n + 2)
+    d, big_n = args.d, 2 * args.n + 1
+    # Each format fills one %-template per row, built once per command.
+    chi = ",".join(["%d"] * d)
     gradings: dict[tuple[int, ...], str] = {}
-
-    def joined(values) -> str:
-        return ",".join(map(str, values))
 
     def grading(sums) -> str:
         # Few distinct gradings occur, so each is formatted once.
         if sums not in gradings:
-            gradings[sums] = joined(sums)
+            gradings[sums] = ",".join(map(str, sums))
         return gradings[sums]
 
     if args.format == "json":
         matrices = [
-            {"columns": list(cols), "chi": joined(cols[:d]), "grading": grading(sums)}
+            {"columns": list(cols), "chi": chi % cols[:d], "grading": grading(sums)}
             for cols, sums in flags
         ]
         _print_json({"count": len(matrices), "matrices": matrices})
         return EXIT_OK
 
     def tsv():
+        row = ",".join(["%d"] * 2 * d) + "\t" + chi + "\t%s\n"
         yield "columns\tchi\tgrading\n"
         count = 0
         for count, (cols, sums) in enumerate(flags, 1):
-            yield f"{joined(cols)}\t{joined(cols[:d])}\t{grading(sums)}\n"
+            yield row % (*cols, *cols[:d], grading(sums))
         yield f"count\t{count}\t\n"
 
     def pretty():
+        # The grid has N lines of 2d cells; column j's 1 sits in line cols[j].
+        header = "matrix %d: chi " + chi + "  grading %s\n"
+        grid = ("  " + " ".join(["%s"] * 2 * d) + "\n") * big_n
+        zeros = ["0"] * (big_n * 2 * d)
         count = 0
         for count, (cols, sums) in enumerate(flags, 1):
-            grid = "".join(
-                f"  {' '.join('1' if r == i else '0' for r in cols)}\n" for i in rows
-            )
-            yield f"matrix {count}: chi {joined(cols[:d])}  grading {grading(sums)}\n{grid}"
+            cells = zeros.copy()
+            for j, r in enumerate(cols):
+                cells[(r - 1) * 2 * d + j] = "1"
+            yield header % (count, *cols[:d], grading(sums)) + grid % tuple(cells)
         yield f"count {count}\n"
 
     _write_blocks(tsv() if args.format == "tsv" else pretty())

@@ -15,14 +15,17 @@ tensor bimodule.
 Each component holds coordinate flags, 0/1 matrices whose first d columns
 form a monomial basis index of the tensor space and whose row sums are the
 component's composition.  iter_flag_matrices yields them one at a time, as
-(columns, row sums) tuples, so listing them all takes constant memory.
+(columns, row sums) tuples.  Each flag joins a left and a right half of its
+index, each half built once with its mirror and its row sums, so a flag
+costs two concatenations and one sum of tuples; a single component visits
+only the right halves whose sums complete it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells, check_htop_work
 from .partitions import (
@@ -56,14 +59,16 @@ def iter_flag_matrices(
     The first d columns range freely over rows 1..N in ascending lex order,
     so the full count is N^d.  The ceiling bounds both that count and the
     width of one row (2d columns and N grading entries), so neither corner,
-    d = 0 at large n nor n = 0 at large d, gets through.  Every check runs
-    when this is called, before the first flag is asked for; the flags are
-    then built one at a time.
+    d = 0 at large n nor n = 0 at large d, gets through; a ceiling below 1
+    is invalid input.  Every check runs when this is called, before the
+    first flag is asked for; the flags are then built one at a time.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
     if dcomp is not None and (dcomp.n != n or dcomp.total != 2 * d):
         raise ValueError(f"component {dcomp} does not match n={n}, total {2 * d}")
+    if max_cells <= 0:
+        raise ValueError(f"the ceiling must be positive, got {max_cells}")
     width = 2 * d + 2 * n + 1
     if width > max_cells:
         raise CostBoundExceeded(
@@ -74,13 +79,39 @@ def iter_flag_matrices(
 
 
 def _flag_matrices(n: int, d: int, component):
+    # A head h_1..h_d splits into a left half of d - d // 2 letters and a
+    # right half of d // 2, so its columns are
+    # head + tail + tail_mirror + head_mirror and its row sums add up.
+    # Taking the left halves outer and the right halves inner keeps the
+    # heads in lex order.  Only the shorter right halves are stored, so at
+    # d = 1 a flag's row sums are not held twice.
     big_n = 2 * n + 1
-    rows = range(1, big_n + 1)
-    for head in itertools.product(rows, repeat=d):
-        columns = head + tuple(big_n + 1 - v for v in reversed(head))
-        sums = tuple(map(columns.count, rows))
-        if component is None or sums == component:
-            yield columns, sums
+    left = _half_heads(big_n, d - d // 2)
+    right = list(_half_heads(big_n, d // 2))
+    if component is None:
+        for head, head_mirror, left_sums in left:
+            for tail, tail_mirror, right_sums in right:
+                sums = tuple(map(add, left_sums, right_sums))
+                yield head + tail + tail_mirror + head_mirror, sums
+        return
+    # Each left half visits only the right halves that make up the rest of
+    # the component.
+    by_sums: dict[tuple[int, ...], list] = {}
+    for half in right:
+        by_sums.setdefault(half[2], []).append(half)
+    for head, head_mirror, left_sums in left:
+        for tail, tail_mirror, _ in by_sums.get(tuple(map(sub, component, left_sums)), ()):
+            yield head + tail + tail_mirror + head_mirror, component
+
+
+def _half_heads(big_n: int, length: int):
+    """(letters, mirrored letters reversed, row sums) for each word of that length, in lex order."""
+    for letters in itertools.product(range(1, big_n + 1), repeat=length):
+        counts = [0] * big_n
+        for v in letters:
+            counts[v - 1] += 1
+            counts[big_n - v] += 1
+        yield letters, tuple(big_n + 1 - v for v in reversed(letters)), tuple(counts)
 
 
 def orbit_dim(a: Partition) -> int:
@@ -167,15 +198,40 @@ def _semismall_degree(a_dim: int, dcomp: SymComposition) -> int:
     return 2 * c
 
 
-@dataclass(frozen=True)
 class HtopReport:
-    """Predicted top Borel-Moore homology dimensions for one orbit."""
+    """Predicted top Borel-Moore homology dimensions for one orbit.
 
-    orbit: Partition
-    contributing: tuple  # (rho, rho_dual, dim of the dual isotypic piece)
-    per_component: dict
-    degrees: dict  # component -> degree, or None when the fiber is empty
-    total: int
+    contributing holds (rho, rho_dual, dim of the dual isotypic piece);
+    degrees maps each component to its degree, or None when the fiber is
+    empty.
+    """
+
+    __slots__ = ("orbit", "contributing", "per_component", "degrees", "total")
+
+    def __init__(self, orbit: Partition, contributing: tuple, per_component: dict,
+                 degrees: dict, total: int):
+        object.__setattr__(self, "orbit", orbit)
+        object.__setattr__(self, "contributing", contributing)
+        object.__setattr__(self, "per_component", per_component)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "total", total)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HtopReport is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.orbit, self.contributing, self.per_component, self.degrees, self.total
+        ) == (other.orbit, other.contributing, other.per_component, other.degrees, other.total)
+
+    def __repr__(self) -> str:
+        return (
+            f"HtopReport(orbit={self.orbit!r}, contributing={self.contributing!r}, "
+            f"per_component={self.per_component!r}, degrees={self.degrees!r}, "
+            f"total={self.total!r})"
+        )
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,7 +17,6 @@ runs emit byte-identical tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
 
@@ -99,12 +98,28 @@ class Partition:
         return cls(parts)
 
 
-@dataclass(frozen=True)
 class Bipartition:
     """An ordered pair of partitions; indexes irreducible characters."""
 
-    first: Partition
-    second: Partition
+    __slots__ = ("first", "second")
+
+    def __init__(self, first: Partition, second: Partition):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "second", second)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Bipartition is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.first == other.first and self.second == other.second
+
+    def __hash__(self):
+        return hash((self.first, self.second))
+
+    def __repr__(self) -> str:
+        return f"Bipartition(first={self.first!r}, second={self.second!r})"
 
     def size(self) -> int:
         return self.first.size() + self.second.size()
@@ -123,7 +138,6 @@ class Bipartition:
         return cls(Partition.from_string(halves[0]), Partition.from_string(halves[1]))
 
 
-@dataclass(frozen=True)
 class SymComposition:
     """A length-(2n+1) vector of nonnegative integers with entries[i] = entries[-1-i].
 
@@ -132,20 +146,34 @@ class SymComposition:
     be even.
     """
 
-    entries: tuple[int, ...]
-    n: int
+    __slots__ = ("entries", "n")
 
-    def __post_init__(self):
-        entries = tuple(int(x) for x in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != 2 * self.n + 1:
-            raise ValueError(f"expected {2 * self.n + 1} entries, got {len(entries)}")
+    def __init__(self, entries, n: int):
+        entries = tuple(int(x) for x in entries)
+        if len(entries) != 2 * n + 1:
+            raise ValueError(f"expected {2 * n + 1} entries, got {len(entries)}")
         if any(x < 0 for x in entries):
             raise ValueError(f"negative entry in {entries}")
         if any(entries[i] != entries[-1 - i] for i in range(len(entries))):
             raise ValueError(f"entries not mirror-symmetric: {entries}")
         if sum(entries) % 2:
             raise ValueError(f"total of {entries} is odd")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymComposition is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.entries, self.n))
+
+    def __repr__(self) -> str:
+        return f"SymComposition(entries={self.entries!r}, n={self.n!r})"
 
     @property
     def total(self) -> int:
@@ -281,11 +309,17 @@ def hook_lengths(p: Partition) -> list[list[int]]:
 
 def num_standard_tableaux(p: Partition) -> int:
     """Number of standard tableaux of shape p (hook length formula)."""
+    return _num_standard_tableaux(p.parts)
+
+
+@lru_cache(maxsize=None)
+def _num_standard_tableaux(parts: tuple[int, ...]) -> int:
+    # A springer table asks for a few hundred shapes tens of thousands of times.
     prod = 1
-    for row in hook_lengths(p):
+    for row in hook_lengths(Partition(parts)):
         for h in row:
             prod *= h
-    return factorial(p.size()) // prod
+    return factorial(sum(parts)) // prod
 
 
 def irr_dim(rho: Bipartition) -> int:

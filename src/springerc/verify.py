@@ -6,8 +6,6 @@ reports one line per check; any failure carries the offending exact values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import geometry, hyperoctahedral as ho, springer, tensor
 from .partitions import (
     Bipartition,
@@ -22,11 +20,29 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+    """The outcome of one check: its name, whether it passed, and the values."""
+
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "detail", detail)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CheckResult is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
+
+    def __hash__(self):
+        return hash((self.name, self.ok, self.detail))
+
+    def __repr__(self) -> str:
+        return f"CheckResult(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
 
     def line(self) -> str:
         mark = "ok" if self.ok else "FAIL"

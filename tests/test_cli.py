@@ -226,9 +226,16 @@ def test_theta_pretty_prints_grids(capsys):
 
 
 Q54_TEXT = ("1,1,0,1,1", "0,1,2,1,0", "1,0,2,0,1", "0,2,0,2,0", "2,0,0,0,2", "0,0,4,0,0")
-THETA_CASES = [(0, 0, None), (0, 3, None), (1, 2, None), (2, 3, None), (2, 2, None)] + [
-    (2, 2, c) for c in Q54_TEXT
-]
+# Odd d gives halves of unequal length, the shorter one 0, 1 or 2 letters
+# long; 0,0,0,10,0,0,0 is a component of (3,5) that holds no flag, and
+# (300,1) has rows 601 grading entries wide.
+THETA_CASES = (
+    [(0, 0, None), (0, 3, None), (1, 2, None), (2, 3, None), (2, 2, None)]
+    + [(2, 2, c) for c in Q54_TEXT]
+    + [(1, 1, None), (0, 5, None), (3, 3, None), (1, 5, None), (300, 1, None)]
+    + [(3, 5, "0,0,0,10,0,0,0")]
+    + [(1, 3, f"{a},{6 - 2 * a},{a}") for a in range(4)]
+)
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
@@ -242,6 +249,20 @@ def test_theta_matches_the_product_oracle(capsys, n, d, component, fmt):
     if component is not None:
         component = tuple(map(int, component.split(",")))
     assert out == theta_table(n, d, fmt, component)
+
+
+def test_theta_component_costs_its_own_flags(capsys):
+    # 3^16 = 43,046,721 flags, one in this component: listing them all to
+    # filter would take a minute, each left half looks its right halves up.
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "theta", "--n", "1", "--d", "16", "--component", "0,32,0",
+        "--max-cells", "50000000", "--format", "tsv",
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    twos = ",".join(["2"] * 16)
+    assert out == f"columns\tchi\tgrading\n{twos},{twos}\t{twos}\t0,32,0\ncount\t1\t\n"
 
 
 def test_theta_largest_benchmark_table_is_pinned(capsys):
@@ -272,11 +293,11 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
     from springerc.partitions import SymComposition
 
     checked = []
-    real_check = SymComposition.__post_init__
+    real_init = SymComposition.__init__
 
-    def counted(self):
+    def counted(self, entries, n):
+        real_init(self, entries, n)
         checked.append(self.entries)
-        real_check(self)
 
     class Sink:
         def __init__(self):
@@ -289,7 +310,7 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
             pass
 
     sink = Sink()
-    monkeypatch.setattr(SymComposition, "__post_init__", counted)
+    monkeypatch.setattr(SymComposition, "__init__", counted)
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["theta", "--n", "3", "--d", "4", "--format", "tsv"]) == 0
     rows = "".join(sink.writes).splitlines()[1:-1]
@@ -305,6 +326,9 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
     [
         (["--n", "5", "--d", "5"], 2),
         (["--n", "2", "--d", "3", "--max-cells", "100"], 2),
+        # A ceiling below 1 is bad input, not a bound that refuses.
+        (["--n", "1", "--d", "2", "--max-cells", "0"], 3),
+        (["--n", "1", "--d", "2", "--max-cells", "-5"], 3),
         (["--n", "2", "--d", "2", "--component", "1,0,1"], 3),
         (["--n", "2", "--d", "2", "--component", "1,0,2,0,2"], 3),
         (["--n", "-1", "--d", "2"], 3),

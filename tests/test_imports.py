@@ -88,6 +88,22 @@ def test_scans_write_nothing_to_stderr(argv):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("htop", "--n", "2", "--d", "2", "--format", "json"),
+        ("springer", "--d", "4"),
+        ("theta", "--n", "1", "--d", "2", "--format", "pretty"),
+        ("verify", "all"),
+    ],
+)
+def test_commands_load_no_dataclasses(argv):
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up.
+    loaded, _ = run_fresh(*argv)
+    heavy = {"dataclasses", "inspect"}
+    assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
+
+
 def test_verify_springer_loads_no_json():
     loaded, _ = run_fresh("verify", "springer")
     assert "json" not in loaded

@@ -12,6 +12,7 @@ from oracles import (
     dominance_maximal_type_c,
     partition_rule,
 )
+from springerc import partitions
 from springerc.partitions import (
     Bipartition,
     Partition,
@@ -184,6 +185,18 @@ def test_num_standard_tableaux_examples():
 @given(partition_strategy(max_n=8))
 def test_num_standard_tableaux_matches_enumeration(p):
     assert num_standard_tableaux(p) == count_standard_tableaux(p.parts)
+
+
+def test_tableau_counts_are_cached_per_shape_and_obey_branching():
+    # count_standard_tableaux is the branching rule f(p) = sum of f(p - corner).
+    partitions._num_standard_tableaux.cache_clear()
+    shapes = [p for size in range(11) for p in enumerate_partitions(size)]
+    for p in shapes:
+        assert partitions._num_standard_tableaux(p.parts) == count_standard_tableaux(p.parts)
+    for p in shapes:
+        assert num_standard_tableaux(p) == count_standard_tableaux(p.parts)
+    info = partitions._num_standard_tableaux.cache_info()
+    assert (info.misses, info.hits) == (len(shapes), len(shapes))
 
 
 @pytest.mark.parametrize("d", range(1, 9))
