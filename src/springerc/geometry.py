@@ -17,19 +17,20 @@ form a monomial basis index of the tensor space and whose row sums are the
 component's composition.  iter_flag_matrices yields them one at a time, as
 (columns, row sums) tuples.  Each flag joins a left and a right half of its
 index, each half built once with its mirror and its row sums, so a flag
-costs two concatenations and one sum of tuples; a single component visits
-only the right halves whose sums complete it.
+costs two concatenations and one sum of tuples; a single component is
+the flags whose sums equal its entries.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add, sub
+from operator import add
 
 from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells, check_htop_work
 from .partitions import (
     Partition,
+    Record,
     SymComposition,
     dominance_leq,
     enumerate_sym_compositions,
@@ -86,22 +87,12 @@ def _flag_matrices(n: int, d: int, component):
     # heads in lex order.  Only the shorter right halves are stored, so at
     # d = 1 a flag's row sums are not held twice.
     big_n = 2 * n + 1
-    left = _half_heads(big_n, d - d // 2)
     right = list(_half_heads(big_n, d // 2))
-    if component is None:
-        for head, head_mirror, left_sums in left:
-            for tail, tail_mirror, right_sums in right:
-                sums = tuple(map(add, left_sums, right_sums))
+    for head, head_mirror, left_sums in _half_heads(big_n, d - d // 2):
+        for tail, tail_mirror, right_sums in right:
+            sums = tuple(map(add, left_sums, right_sums))
+            if component is None or sums == component:
                 yield head + tail + tail_mirror + head_mirror, sums
-        return
-    # Each left half visits only the right halves that make up the rest of
-    # the component.
-    by_sums: dict[tuple[int, ...], list] = {}
-    for half in right:
-        by_sums.setdefault(half[2], []).append(half)
-    for head, head_mirror, left_sums in left:
-        for tail, tail_mirror, _ in by_sums.get(tuple(map(sub, component, left_sums)), ()):
-            yield head + tail + tail_mirror + head_mirror, component
 
 
 def _half_heads(big_n: int, length: int):
@@ -198,7 +189,7 @@ def _semismall_degree(a_dim: int, dcomp: SymComposition) -> int:
     return 2 * c
 
 
-class HtopReport:
+class HtopReport(Record):
     """Predicted top Borel-Moore homology dimensions for one orbit.
 
     contributing holds (rho, rho_dual, dim of the dual isotypic piece);
@@ -207,31 +198,7 @@ class HtopReport:
     """
 
     __slots__ = ("orbit", "contributing", "per_component", "degrees", "total")
-
-    def __init__(self, orbit: Partition, contributing: tuple, per_component: dict,
-                 degrees: dict, total: int):
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "contributing", contributing)
-        object.__setattr__(self, "per_component", per_component)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "total", total)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HtopReport is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.orbit, self.contributing, self.per_component, self.degrees, self.total
-        ) == (other.orbit, other.contributing, other.per_component, other.degrees, other.total)
-
-    def __repr__(self) -> str:
-        return (
-            f"HtopReport(orbit={self.orbit!r}, contributing={self.contributing!r}, "
-            f"per_component={self.per_component!r}, degrees={self.degrees!r}, "
-            f"total={self.total!r})"
-        )
+    __hash__ = None
 
     def to_json_dict(self) -> dict:
         return {

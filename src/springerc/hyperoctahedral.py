@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import factorial
 
 from .limits import MAX_CHARACTER_TABLE_RANK, CostBoundExceeded
-from .partitions import Bipartition, Partition, enumerate_bipartitions
+from .partitions import Bipartition, Partition, Record, enumerate_bipartitions
 
 
 class SignedPermutation:
@@ -270,33 +270,11 @@ def character_value(rho: Bipartition, cls: Bipartition) -> int:
     return total
 
 
-class CharacterTable:
+class CharacterTable(Record):
     """Complete exact character table of the rank-d signed permutation group."""
 
     __slots__ = ("d", "rows", "cols", "values", "class_sizes")
-
-    def __init__(self, d: int, rows: tuple, cols: tuple, values: dict, class_sizes: dict):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "class_sizes", class_sizes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CharacterTable is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.d, self.rows, self.cols, self.values, self.class_sizes) == (
-            other.d, other.rows, other.cols, other.values, other.class_sizes
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"CharacterTable(d={self.d!r}, rows={self.rows!r}, cols={self.cols!r}, "
-            f"values={self.values!r}, class_sizes={self.class_sizes!r})"
-        )
+    __hash__ = None
 
     def value(self, rho: Bipartition, cls: Bipartition) -> int:
         return self.values[(rho, cls)]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, factorial
+from operator import attrgetter
 
 from .limits import check_htop_work
 
@@ -98,28 +99,46 @@ class Partition:
         return cls(parts)
 
 
-class Bipartition:
-    """An ordered pair of partitions; indexes irreducible characters."""
+class Record:
+    """An immutable record whose fields are its class's __slots__.
 
-    __slots__ = ("first", "second")
+    Two records are equal when they have the same class and equal fields,
+    a record hashes as its field tuple, and its repr names every field.
+    Assigning to a field raises AttributeError.
+    """
 
-    def __init__(self, first: Partition, second: Partition):
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "second", second)
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # Records are hashed and compared in the inner loops of the
+        # character tables, so the field tuple is read in C.
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
-        raise AttributeError("Bipartition is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.first == other.first and self.second == other.second
+        return self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash((self.first, self.second))
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        return f"Bipartition(first={self.first!r}, second={self.second!r})"
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Bipartition(Record):
+    """An ordered pair of partitions; indexes irreducible characters."""
+
+    __slots__ = ("first", "second")
 
     def size(self) -> int:
         return self.first.size() + self.second.size()
@@ -138,7 +157,7 @@ class Bipartition:
         return cls(Partition.from_string(halves[0]), Partition.from_string(halves[1]))
 
 
-class SymComposition:
+class SymComposition(Record):
     """A length-(2n+1) vector of nonnegative integers with entries[i] = entries[-1-i].
 
     These index the connected components of the partial flag variety; the
@@ -158,22 +177,7 @@ class SymComposition:
             raise ValueError(f"entries not mirror-symmetric: {entries}")
         if sum(entries) % 2:
             raise ValueError(f"total of {entries} is odd")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymComposition is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.entries, self.n))
-
-    def __repr__(self) -> str:
-        return f"SymComposition(entries={self.entries!r}, n={self.n!r})"
+        super().__init__(entries, n)
 
     @property
     def total(self) -> int:
@@ -307,19 +311,18 @@ def hook_lengths(p: Partition) -> list[list[int]]:
     ]
 
 
-def num_standard_tableaux(p: Partition) -> int:
-    """Number of standard tableaux of shape p (hook length formula)."""
-    return _num_standard_tableaux(p.parts)
-
-
 @lru_cache(maxsize=None)
-def _num_standard_tableaux(parts: tuple[int, ...]) -> int:
-    # A springer table asks for a few hundred shapes tens of thousands of times.
+def num_standard_tableaux(p: Partition) -> int:
+    """Number of standard tableaux of shape p (hook length formula).
+
+    A springer table asks for a few hundred shapes tens of thousands of
+    times, so each count is kept per shape.
+    """
     prod = 1
-    for row in hook_lengths(Partition(parts)):
+    for row in hook_lengths(p):
         for h in row:
             prod *= h
-    return factorial(sum(parts)) // prod
+    return factorial(p.size()) // prod
 
 
 def irr_dim(rho: Bipartition) -> int:

@@ -10,6 +10,7 @@ from . import geometry, hyperoctahedral as ho, springer, tensor
 from .partitions import (
     Bipartition,
     Partition,
+    Record,
     enumerate_bipartitions,
     enumerate_sym_compositions,
     enumerate_type_c,
@@ -20,29 +21,13 @@ from .partitions import (
 )
 
 
-class CheckResult:
+class CheckResult(Record):
     """The outcome of one check: its name, whether it passed, and the values."""
 
     __slots__ = ("name", "ok", "detail")
 
     def __init__(self, name: str, ok: bool, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "detail", detail)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CheckResult is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.ok, self.detail) == (other.name, other.ok, other.detail)
-
-    def __hash__(self):
-        return hash((self.name, self.ok, self.detail))
-
-    def __repr__(self) -> str:
-        return f"CheckResult(name={self.name!r}, ok={self.ok!r}, detail={self.detail!r})"
+        super().__init__(name, ok, detail)
 
     def line(self) -> str:
         mark = "ok" if self.ok else "FAIL"

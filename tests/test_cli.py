@@ -251,20 +251,6 @@ def test_theta_matches_the_product_oracle(capsys, n, d, component, fmt):
     assert out == theta_table(n, d, fmt, component)
 
 
-def test_theta_component_costs_its_own_flags(capsys):
-    # 3^16 = 43,046,721 flags, one in this component: listing them all to
-    # filter would take a minute, each left half looks its right halves up.
-    start = time.perf_counter()
-    code, out, _ = run(
-        capsys, "theta", "--n", "1", "--d", "16", "--component", "0,32,0",
-        "--max-cells", "50000000", "--format", "tsv",
-    )
-    assert time.perf_counter() - start < 2.0
-    assert code == 0
-    twos = ",".join(["2"] * 16)
-    assert out == f"columns\tchi\tgrading\n{twos},{twos}\t{twos}\t0,32,0\ncount\t1\t\n"
-
-
 def test_theta_largest_benchmark_table_is_pinned(capsys):
     code, out, _ = run(capsys, "theta", "--n", "3", "--d", "5", "--format", "tsv")
     assert code == 0

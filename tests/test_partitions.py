@@ -12,10 +12,10 @@ from oracles import (
     dominance_maximal_type_c,
     partition_rule,
 )
-from springerc import partitions
 from springerc.partitions import (
     Bipartition,
     Partition,
+    Record,
     SymComposition,
     bounded_compositions,
     dominance_leq,
@@ -187,15 +187,33 @@ def test_num_standard_tableaux_matches_enumeration(p):
     assert num_standard_tableaux(p) == count_standard_tableaux(p.parts)
 
 
+def test_records_compare_by_class_and_fields():
+    class Pair(Record):
+        __slots__ = ("first", "second")
+
+    rho = Bipartition(Partition([1]), Partition())
+    assert rho == Bipartition(Partition([1]), Partition())
+    assert rho != Pair(rho.first, rho.second)
+    assert hash(rho) == hash((Partition([1]), Partition()))
+    assert repr(rho) == "Bipartition(first=Partition([1]), second=Partition([]))"
+    c = SymComposition((1, 0, 1), 1)
+    assert repr(c) == "SymComposition(entries=(1, 0, 1), n=1)"
+    assert {c: 1}[SymComposition.from_string("1,0,1")] == 1
+    with pytest.raises(AttributeError):
+        rho.first = Partition()
+    with pytest.raises(AttributeError):
+        c.n = 2
+
+
 def test_tableau_counts_are_cached_per_shape_and_obey_branching():
     # count_standard_tableaux is the branching rule f(p) = sum of f(p - corner).
-    partitions._num_standard_tableaux.cache_clear()
+    num_standard_tableaux.cache_clear()
     shapes = [p for size in range(11) for p in enumerate_partitions(size)]
-    for p in shapes:
-        assert partitions._num_standard_tableaux(p.parts) == count_standard_tableaux(p.parts)
-    for p in shapes:
-        assert num_standard_tableaux(p) == count_standard_tableaux(p.parts)
-    info = partitions._num_standard_tableaux.cache_info()
+    for _ in range(2):
+        for p in shapes:
+            # A fresh Partition of the same shape finds the cached count.
+            assert num_standard_tableaux(Partition(p.parts)) == count_standard_tableaux(p.parts)
+    info = num_standard_tableaux.cache_info()
     assert (info.misses, info.hits) == (len(shapes), len(shapes))
 
 
