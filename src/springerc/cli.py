@@ -40,20 +40,19 @@ WRITE_BLOCK = 1024  # rows (or JSON tokens) joined into one stdout write
 def _character_name(rho) -> str:
     """Human-readable names for the recognizable characters, else '-'."""
     d = rho.size()
-    first, second = rho.first.parts, rho.second.parts
     if d == 0:
         return "triv"
-    if not first:
-        if second == (d,):
+    if not rho.first:
+        if rho.second == (d,):
             return "triv"
-        if second == (1,) * d:
+        if rho.second == (1,) * d:
             return "ssign"
-    if not second:
-        if first == (d,):
+    if not rho.second:
+        if rho.first == (d,):
             return "lsign"
-        if first == (1,) * d:
+        if rho.first == (1,) * d:
             return "sign"
-    if first == (1,) and second == (d - 1,):
+    if rho.first == (1,) and rho.second == (d - 1,):
         return "refl"
     return "-"
 

@@ -151,7 +151,7 @@ def cycle_type(w: SignedPermutation) -> Bipartition:
 
 def conjugacy_class_labels(d: int) -> list[Bipartition]:
     """All class labels pos|neg of rank d, in lexicographic order on (pos, neg)."""
-    return sorted(enumerate_bipartitions(d), key=lambda c: (c.first.parts, c.second.parts))
+    return sorted(enumerate_bipartitions(d), key=lambda c: (c.first, c.second))
 
 
 def class_representative(cls: Bipartition) -> SignedPermutation:
@@ -181,7 +181,7 @@ def class_size(cls: Bipartition) -> int:
     """2^d d! divided by the centralizer order prod (2k)^m_k m_k!."""
     z = 1
     for partition in (cls.first, cls.second):
-        for k, m in partition.multiplicities().items():
+        for k, m in Counter(partition).items():
             z *= (2 * k) ** m * factorial(m)
     return group_order(cls.size()) // z
 
@@ -212,7 +212,7 @@ def sym_group_character(shape: Partition, ctype: Partition) -> int:
         raise ValueError(f"size mismatch: |{shape}| vs |{ctype}|")
     length = len(shape)
     betas = tuple(shape[i] + (length - 1 - i) for i in range(length))
-    return _sym_character_betas(betas, ctype.parts)
+    return _sym_character_betas(betas, ctype)
 
 
 @lru_cache(maxsize=None)

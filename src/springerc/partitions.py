@@ -11,6 +11,11 @@ Text formats used by the CLI and all golden files:
 * bipartition: two partition strings joined by ``|``, e.g. ``2,1|1``
 * symmetric composition: comma-separated entries, ``1,1,0,1,1``
 
+A Partition is a tuple subclass, so the engine passes it wherever a tuple
+of parts is read, with no conversion.  It equals and hashes like its
+parts, and like any tuple it is read as an argument list when it is the
+right operand of ``%``; format it with ``str`` or an f-string instead.
+
 Every enumeration in this module is lexicographic-descending so repeated
 runs emit byte-identical tables.
 """
@@ -18,18 +23,24 @@ runs emit byte-identical tables.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, factorial
 from operator import attrgetter
 
 from .limits import check_htop_work
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers (possibly empty)."""
+class Partition(tuple):
+    """A weakly decreasing tuple of positive integers (possibly empty).
 
-    __slots__ = ("parts",)
+    A Partition is the tuple of its parts: it equals, hashes and orders
+    like that tuple, and slicing it gives a plain tuple.  It adds the
+    checks on construction, the text forms, size and dual.
+    """
 
-    def __init__(self, parts=()):
+    __slots__ = ()
+
+    def __new__(cls, parts=()):
         # The engine builds tens of thousands of partitions per table, so
         # each check is one pass in C.
         parts = tuple(map(int, parts))
@@ -39,53 +50,26 @@ class Partition:
             raise ValueError(f"parts not weakly decreasing: {parts}")
         if parts and not parts[-1]:
             parts = parts[: parts.index(0)]  # the zeros are a trailing block
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+        return super().__new__(cls, parts)
 
     def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
+        return sum(self)
 
     def __repr__(self) -> str:
-        return f"Partition({list(self.parts)})"
+        return f"Partition({list(self)})"
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.parts) if self.parts else "-"
+        return ",".join(map(str, self)) if self else "-"
 
     def dual(self) -> "Partition":
         """Transpose of the diagram: column lengths become row lengths."""
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
         return Partition(cols)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
 
     @classmethod
     def from_string(cls, text: str) -> "Partition":
@@ -230,22 +214,22 @@ def enumerate_bipartitions(d: int) -> list[Bipartition]:
     return out
 
 
-def is_type_c(p: Partition) -> bool:
+def is_type_c(p) -> bool:
     """True iff |p| is even and every odd part occurs an even number of times.
 
-    Such partitions classify nilpotent orbits of the symplectic Lie algebra
-    on a space of dimension |p|.
+    p is any tuple of parts.  Such partitions classify nilpotent orbits of
+    the symplectic Lie algebra on a space of dimension |p|.
     """
-    if p.size() % 2:
+    if sum(p) % 2:
         return False
-    return all(m % 2 == 0 for part, m in p.multiplicities().items() if part % 2)
+    return all(p.count(v) % 2 == 0 for v in set(p) if v % 2)
 
 
 def enumerate_type_c(two_d: int) -> list[Partition]:
     """All type-C partitions of the (even) integer two_d, descending."""
     if two_d % 2:
         raise ValueError(f"{two_d} is odd; type-C partitions have even size")
-    return [p for p in enumerate_partitions(two_d) if is_type_c(p)]
+    return [Partition(p) for p in _partitions_desc(two_d, two_d) if is_type_c(p)]
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +354,7 @@ def kostka(shape: Partition, weight) -> int:
         raise ValueError(f"negative entry in weight {tuple(weight)}")
     if sum(weight) != shape.size():
         return 0
-    return _kostka(shape.parts, _weight_key(weight))
+    return _kostka(shape, _weight_key(weight))
 
 
 def _weight_key(weight) -> tuple[int, ...]:
@@ -381,7 +365,7 @@ def _weight_key(weight) -> tuple[int, ...]:
 def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     # weight is a partition of |shape|; the cells holding its last (smallest)
     # value form a horizontal strip, so peel every such strip off the shape.
-    if not dominance_leq(Partition(weight), Partition(shape)):
+    if not dominance_leq(weight, shape):
         return 0
     if len(weight) <= 1:
         return 1
@@ -427,25 +411,25 @@ def graded_multiplicities(n: int, d: int, labels) -> dict:
             betas = bounded_compositions(k, head)
             alphas = [_weight_key(tuple(map(int.__sub__, head, b)) + half_mid) for b in betas]
             betas = [_weight_key(b) for b in betas]
-            mus = {mu: [_kostka(mu.parts, a) for a in alphas] for mu in {r.first for r in group}}
-            nus = {nu: [_kostka(nu.parts, b) for b in betas] for nu in {r.second for r in group}}
+            mus = {mu: [_kostka(mu, a) for a in alphas] for mu in {r.first for r in group}}
+            nus = {nu: [_kostka(nu, b) for b in betas] for nu in {r.second for r in group}}
             for rho in group:
                 table[rho][dcomp] = sum(map(int.__mul__, mus[rho.first], nus[rho.second]))
     return table
 
 
-def dominance_leq(a: Partition, b: Partition) -> bool:
-    """True iff every prefix sum of a is at most the matching prefix sum of b."""
-    if a.size() != b.size():
-        raise ValueError(f"dominance needs equal sizes: |{a}|={a.size()}, |{b}|={b.size()}")
-    length = max(len(a), len(b))
-    sa = sb = 0
-    for i in range(length):
-        sa += a[i] if i < len(a) else 0
-        sb += b[i] if i < len(b) else 0
-        if sa > sb:
-            return False
-    return True
+def dominance_leq(a, b) -> bool:
+    """True iff every prefix sum of a is at most the matching prefix sum of b.
+
+    a and b are any tuples of nonnegative parts with equal totals, so the
+    common prefixes decide: past the end of b every prefix of a is at most
+    the total, and at the end of a its prefix is the total, which b's
+    prefix there falls short of exactly when b has a positive part past
+    the end of a.
+    """
+    if sum(a) != sum(b):
+        raise ValueError(f"dominance needs equal sizes: |{a}|={sum(a)}, |{b}|={sum(b)}")
+    return all(map(int.__le__, accumulate(a), accumulate(b)))
 
 
 def type_c_collapse(p: Partition) -> Partition:
@@ -456,11 +440,12 @@ def type_c_collapse(p: Partition) -> Partition:
     result is still a partition.  Exhaustive search at small sizes confirms
     the output is dominance-maximal among type-C partitions of |p|.
     """
-    if p.size() % 2:
-        raise ValueError(f"collapse needs even size, got |{p}| = {p.size()}")
-    parts = list(p.parts)
-    for _ in range(p.size() * p.size() + 1):
-        bad = [v for v, m in Partition(parts).multiplicities().items() if v % 2 and m % 2]
+    size = sum(p)
+    if size % 2:
+        raise ValueError(f"collapse needs even size, got |{p}| = {size}")
+    parts = list(p)
+    for _ in range(size * size + 1):
+        bad = [v for v in set(parts) if v % 2 and parts.count(v) % 2]
         if not bad:
             break
         v = max(bad)

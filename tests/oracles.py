@@ -219,7 +219,7 @@ def b_invariant(rho) -> int:
     2n(mu) + 2n(nu) + |mu|: 0 for the trivial character (-, (d)), d^2 for
     the sign character.
     """
-    return 2 * _n_statistic(rho.first.parts) + 2 * _n_statistic(rho.second.parts) + rho.first.size()
+    return 2 * _n_statistic(rho.first) + 2 * _n_statistic(rho.second) + rho.first.size()
 
 
 def springer_fiber_dim(a: Partition) -> int:
@@ -229,7 +229,7 @@ def springer_fiber_dim(a: Partition) -> int:
     dim B_u = (2 n(a) + number of odd parts) / 4, which is also
     (2d^2 - dim O)/2.
     """
-    four_dim = 2 * _n_statistic(a.parts) + sum(1 for part in a.parts if part % 2)
+    four_dim = 2 * _n_statistic(a) + sum(1 for part in a if part % 2)
     assert four_dim % 4 == 0, f"dim B_u of {a} is not an integer"
     return four_dim // 4
 

@@ -42,8 +42,15 @@ def partition_strategy(draw, max_n=12):
 
 
 def test_partition_normalizes_and_validates():
-    assert Partition([2, 1, 0, 0]).parts == (2, 1)
-    assert Partition().parts == ()
+    p = Partition([2, 1, 0, 0])
+    assert p == (2, 1) and hash(p) == hash((2, 1))
+    assert Partition() == ()
+    assert isinstance(Partition(), tuple)
+    assert type(p[:1]) is tuple and p[:1] == (2,)
+    assert (str(p), repr(p)) == ("2,1", "Partition([2, 1])")
+    assert (str(Partition()), repr(Partition())) == ("-", "Partition([])")
+    with pytest.raises(AttributeError):
+        p.extra = 1
     with pytest.raises(ValueError):
         Partition([1, 2])
     with pytest.raises(ValueError):
@@ -58,7 +65,7 @@ def test_partition_accepts_and_rejects_like_the_plain_rule(parts):
     # Descending lists are drawn too, so most cases reach the zero cut.
     verdict, expected = partition_rule(parts)
     if verdict == "ok":
-        assert Partition(parts).parts == expected
+        assert Partition(parts) == expected
     else:
         with pytest.raises(ValueError) as exc:
             Partition(parts)
@@ -100,8 +107,8 @@ def test_dual_is_an_involution(p):
 def test_enumerate_partitions_counts_and_order():
     counts = [len(enumerate_partitions(n)) for n in range(9)]
     assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
-    assert [p.parts for p in enumerate_partitions(2)] == [(2,), (1, 1)]
-    four = [p.parts for p in enumerate_partitions(4)]
+    assert enumerate_partitions(2) == [(2,), (1, 1)]
+    four = enumerate_partitions(4)
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert four == sorted(four, reverse=True)
 
@@ -127,14 +134,14 @@ def test_is_type_c():
 
 
 def test_enumerate_type_c():
-    assert {p.parts for p in enumerate_type_c(4)} == {
+    assert set(enumerate_type_c(4)) == {
         (4,),
         (2, 2),
         (2, 1, 1),
         (1, 1, 1, 1),
     }
-    assert {p.parts for p in enumerate_type_c(2)} == {(2,), (1, 1)}
-    assert [p.parts for p in enumerate_type_c(0)] == [()]
+    assert set(enumerate_type_c(2)) == {(2,), (1, 1)}
+    assert enumerate_type_c(0) == [()]
     with pytest.raises(ValueError):
         enumerate_type_c(3)
 
@@ -184,7 +191,7 @@ def test_num_standard_tableaux_examples():
 
 @given(partition_strategy(max_n=8))
 def test_num_standard_tableaux_matches_enumeration(p):
-    assert num_standard_tableaux(p) == count_standard_tableaux(p.parts)
+    assert num_standard_tableaux(p) == count_standard_tableaux(p)
 
 
 def test_records_compare_by_class_and_fields():
@@ -212,7 +219,7 @@ def test_tableau_counts_are_cached_per_shape_and_obey_branching():
     for _ in range(2):
         for p in shapes:
             # A fresh Partition of the same shape finds the cached count.
-            assert num_standard_tableaux(Partition(p.parts)) == count_standard_tableaux(p.parts)
+            assert num_standard_tableaux(Partition(p)) == count_standard_tableaux(p)
     info = num_standard_tableaux.cache_info()
     assert (info.misses, info.hits) == (len(shapes), len(shapes))
 
@@ -234,7 +241,7 @@ def test_gl_dim_matches_tableau_count():
     for n in range(6):
         for p in enumerate_partitions(n):
             for m in range(5):
-                assert gl_dim(p, m) == count_semistandard_tableaux(p.parts, m), (p, m)
+                assert gl_dim(p, m) == count_semistandard_tableaux(p, m), (p, m)
 
 
 def test_kostka_examples():
@@ -257,7 +264,7 @@ def test_kostka_matches_tableau_enumeration():
             for length in range(5):
                 for weight in itertools.product(range(size + 1), repeat=length):
                     if sum(weight) == size:
-                        expected = count_tableaux_with_content(shape.parts, weight)
+                        expected = count_tableaux_with_content(shape, weight)
                         assert kostka(shape, weight) == expected, (shape, weight)
 
 
@@ -283,7 +290,7 @@ def test_kostka_does_not_depend_on_weight_order(case):
     shape, weight, permuted = case
     value = kostka(shape, weight)
     assert kostka(shape, tuple(permuted)) == value
-    assert count_tableaux_with_content(shape.parts, tuple(permuted)) == value
+    assert count_tableaux_with_content(shape, tuple(permuted)) == value
 
 
 def test_bounded_compositions_match_filtered_product():
@@ -301,6 +308,13 @@ def test_dominance():
     assert dominance_leq(p, p)
     with pytest.raises(ValueError):
         dominance_leq(Partition([2]), Partition([1]))
+    # Plain tuples of unequal lengths, trailing zeros included.
+    assert dominance_leq((1, 1), (2,)) and not dominance_leq((2,), (1, 1))
+    assert dominance_leq((2, 0), (2,)) and dominance_leq((2,), (2, 0, 0))
+    for n in range(9):
+        for a, b in itertools.product(enumerate_partitions(n), repeat=2):
+            by_prefix = all(sum(a[:i]) <= sum(b[:i]) for i in range(1, n + 1))
+            assert dominance_leq(a, b) == by_prefix, (a, b)
 
 
 def test_type_c_collapse_examples():

@@ -99,7 +99,7 @@ def test_coverage_report_small_ranks():
     assert coverage == dict.fromkeys(range(1, 9), 1.0)
 
 
-@pytest.mark.parametrize("d", range(9))
+@pytest.mark.parametrize("d", range(19))
 def test_b_invariant_oracle(d):
     # Over each orbit the b-invariants of its labels are at least dim B_u,
     # and exactly one label (the trivial local system) reaches it.  Labels
