@@ -19,18 +19,22 @@ component's composition.  iter_flag_matrices yields them one at a time, as
 index, each half built once with its mirror and its row sums, so a flag
 costs two concatenations and one sum of tuples; a single component is
 the flags whose sums equal its entries.
+
+A component is a SymComposition, the tuple of its entries, so it is
+compared with the row sums directly.  An HtopReport is a named tuple; json
+would write it as an array, so the CLI writes it through to_json_dict.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
 from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells, check_htop_work
 from .partitions import (
     Partition,
-    Record,
     SymComposition,
     dominance_leq,
     enumerate_sym_compositions,
@@ -76,7 +80,7 @@ def iter_flag_matrices(
             f"a flag row of {width} entries exceeds the ceiling {max_cells}"
         )
     check_cells(n, d, max_cells)
-    return _flag_matrices(n, d, None if dcomp is None else dcomp.entries)
+    return _flag_matrices(n, d, dcomp)
 
 
 def _flag_matrices(n: int, d: int, component):
@@ -134,7 +138,7 @@ def flag_dim(dcomp: SymComposition) -> int:
     two_d = dcomp.total
     cum = []
     run = 0
-    for entry in dcomp.entries[:n]:
+    for entry in dcomp[:n]:
         run += entry
         cum.append(run)
     if not cum:
@@ -156,7 +160,7 @@ def richardson(dcomp: SymComposition) -> Partition:
     depends on the component alone, so it is found, and checked, once per
     component per process; a failed check caches nothing.
     """
-    sorted_parts = Partition(sorted(dcomp.entries, reverse=True))
+    sorted_parts = Partition(sorted(dcomp, reverse=True))
     orbit = type_c_collapse(sorted_parts.dual())
     if orbit_dim(orbit) != 2 * flag_dim(dcomp):
         raise ArithmeticError(
@@ -189,7 +193,7 @@ def _semismall_degree(a_dim: int, dcomp: SymComposition) -> int:
     return 2 * c
 
 
-class HtopReport(Record):
+class HtopReport(namedtuple("HtopReport", "orbit contributing per_component degrees total")):
     """Predicted top Borel-Moore homology dimensions for one orbit.
 
     contributing holds (rho, rho_dual, dim of the dual isotypic piece);
@@ -197,8 +201,7 @@ class HtopReport(Record):
     empty.
     """
 
-    __slots__ = ("orbit", "contributing", "per_component", "degrees", "total")
-    __hash__ = None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -29,20 +29,20 @@ types of the subgroup's elements.  All arithmetic is on integers.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import factorial
 
 from .limits import MAX_CHARACTER_TABLE_RANK, CostBoundExceeded
-from .partitions import Bipartition, Partition, Record, enumerate_bipartitions
+from .partitions import Bipartition, Partition, enumerate_bipartitions
 
 
-class SignedPermutation:
+class SignedPermutation(namedtuple("SignedPermutation", "images signs")):
     """A signed permutation of {1..d}."""
 
-    __slots__ = ("images", "signs")
+    __slots__ = ()
 
-    def __init__(self, images, signs):
+    def __new__(cls, images, signs):
         images = tuple(int(x) for x in images)
         signs = tuple(int(x) for x in signs)
         d = len(images)
@@ -50,11 +50,7 @@ class SignedPermutation:
             raise ValueError(f"not a permutation of 1..{d}: {images}")
         if len(signs) != d or any(s not in (1, -1) for s in signs):
             raise ValueError(f"signs must be +-1 of length {d}: {signs}")
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPermutation is immutable")
+        return super().__new__(cls, images, signs)
 
     @property
     def d(self) -> int:
@@ -95,16 +91,6 @@ class SignedPermutation:
     def perm_sign(self) -> int:
         """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
         return (-1) ** (self.d - sum(1 for _ in _cycles(self)))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SignedPermutation)
-            and self.images == other.images
-            and self.signs == other.signs
-        )
-
-    def __hash__(self):
-        return hash((self.images, self.signs))
 
     def __repr__(self) -> str:
         return f"SignedPermutation({list(self.window())})"
@@ -151,7 +137,7 @@ def cycle_type(w: SignedPermutation) -> Bipartition:
 
 def conjugacy_class_labels(d: int) -> list[Bipartition]:
     """All class labels pos|neg of rank d, in lexicographic order on (pos, neg)."""
-    return sorted(enumerate_bipartitions(d), key=lambda c: (c.first, c.second))
+    return sorted(enumerate_bipartitions(d))
 
 
 def class_representative(cls: Bipartition) -> SignedPermutation:
@@ -270,11 +256,10 @@ def character_value(rho: Bipartition, cls: Bipartition) -> int:
     return total
 
 
-class CharacterTable(Record):
+class CharacterTable(namedtuple("CharacterTable", "d rows cols values class_sizes")):
     """Complete exact character table of the rank-d signed permutation group."""
 
-    __slots__ = ("d", "rows", "cols", "values", "class_sizes")
-    __hash__ = None
+    __slots__ = ()
 
     def value(self, rho: Bipartition, cls: Bipartition) -> int:
         return self.values[(rho, cls)]
@@ -323,7 +308,7 @@ def coset_permutation_character(dcomp) -> dict[Bipartition, int]:
         raise ValueError("composition total must be at least 2")
     if d > MAX_CHARACTER_TABLE_RANK:
         raise CostBoundExceeded(f"rank {d} above {MAX_CHARACTER_TABLE_RANK}")
-    sizes = list(dcomp.entries[: dcomp.n]) + [dcomp.entries[dcomp.n] // 2]
+    sizes = list(dcomp[: dcomp.n]) + [dcomp[dcomp.n] // 2]
     # w lies in H when it maps each letter into its own block and flips
     # signs only on the last block.
     block = [i for i, size in enumerate(sizes) for _ in range(size)]

@@ -11,10 +11,13 @@ Text formats used by the CLI and all golden files:
 * bipartition: two partition strings joined by ``|``, e.g. ``2,1|1``
 * symmetric composition: comma-separated entries, ``1,1,0,1,1``
 
-A Partition is a tuple subclass, so the engine passes it wherever a tuple
-of parts is read, with no conversion.  It equals and hashes like its
-parts, and like any tuple it is read as an argument list when it is the
-right operand of ``%``; format it with ``str`` or an f-string instead.
+Every value here is a tuple.  Partition and SymComposition are tuple
+subclasses that check their entries when built, so the engine passes them
+wherever a tuple of parts is read, with no conversion; Bipartition is a
+named tuple of its two partitions.  Each equals and hashes like the plain
+tuple of its entries or fields, and like any tuple it would be read as an
+argument list on the right of ``%``, so it is formatted with ``str`` or an
+f-string instead.
 
 Every enumeration in this module is lexicographic-descending so repeated
 runs emit byte-identical tables.
@@ -22,10 +25,10 @@ runs emit byte-identical tables.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
-from operator import attrgetter
 
 from .limits import check_htop_work
 
@@ -83,46 +86,10 @@ class Partition(tuple):
         return cls(parts)
 
 
-class Record:
-    """An immutable record whose fields are its class's __slots__.
-
-    Two records are equal when they have the same class and equal fields,
-    a record hashes as its field tuple, and its repr names every field.
-    Assigning to a field raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # Records are hashed and compared in the inner loops of the
-        # character tables, so the field tuple is read in C.
-        cls._fields = attrgetter(*cls.__slots__)
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields(self) == self._fields(other)
-
-    def __hash__(self):
-        return hash(self._fields(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Bipartition(Record):
+class Bipartition(namedtuple("Bipartition", "first second")):
     """An ordered pair of partitions; indexes irreducible characters."""
 
-    __slots__ = ("first", "second")
+    __slots__ = ()
 
     def size(self) -> int:
         return self.first.size() + self.second.size()
@@ -141,34 +108,42 @@ class Bipartition(Record):
         return cls(Partition.from_string(halves[0]), Partition.from_string(halves[1]))
 
 
-class SymComposition(Record):
-    """A length-(2n+1) vector of nonnegative integers with entries[i] = entries[-1-i].
+class SymComposition(tuple):
+    """A tuple of 2n+1 nonnegative integers with c[i] = c[-1-i] and an even total.
 
     These index the connected components of the partial flag variety; the
-    mirror symmetry together with an even total forces the middle entry to
-    be even.
+    mirror symmetry together with the even total forces the middle entry
+    to be even.  Like a Partition it is the tuple of its entries, and n and
+    the total follow from them.
     """
 
-    __slots__ = ("entries", "n")
+    __slots__ = ()
 
-    def __init__(self, entries, n: int):
-        entries = tuple(int(x) for x in entries)
-        if len(entries) != 2 * n + 1:
-            raise ValueError(f"expected {2 * n + 1} entries, got {len(entries)}")
-        if any(x < 0 for x in entries):
+    def __new__(cls, entries):
+        entries = tuple(map(int, entries))
+        if len(entries) % 2 == 0:
+            raise ValueError(f"composition {entries} must have odd length")
+        if min(entries) < 0:
             raise ValueError(f"negative entry in {entries}")
-        if any(entries[i] != entries[-1 - i] for i in range(len(entries))):
+        if entries != entries[::-1]:
             raise ValueError(f"entries not mirror-symmetric: {entries}")
         if sum(entries) % 2:
             raise ValueError(f"total of {entries} is odd")
-        super().__init__(entries, n)
+        return super().__new__(cls, entries)
+
+    @property
+    def n(self) -> int:
+        return len(self) // 2
 
     @property
     def total(self) -> int:
-        return sum(self.entries)
+        return sum(self)
+
+    def __repr__(self) -> str:
+        return f"SymComposition({tuple(self)})"
 
     def __str__(self) -> str:
-        return ",".join(str(x) for x in self.entries)
+        return ",".join(map(str, self))
 
     @classmethod
     def from_string(cls, text: str) -> "SymComposition":
@@ -176,9 +151,7 @@ class SymComposition(Record):
             entries = tuple(int(tok) for tok in text.strip().split(","))
         except ValueError as exc:
             raise ValueError(f"cannot parse composition {text!r}") from exc
-        if len(entries) % 2 == 0:
-            raise ValueError(f"composition {text!r} must have odd length")
-        return cls(entries, (len(entries) - 1) // 2)
+        return cls(entries)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +221,8 @@ def enumerate_sym_compositions(n_param: int, big_d: int) -> tuple[SymComposition
     out = []
     for s in range(half + 1):
         for head in bounded_compositions(s, (half,) * n_param):
-            out.append(SymComposition(head + (big_d - 2 * s,) + head[::-1], n_param))
-    out.sort(key=lambda c: c.entries, reverse=True)
+            out.append(SymComposition(head + (big_d - 2 * s,) + head[::-1]))
+    out.sort(reverse=True)
     return tuple(out)
 
 
@@ -405,8 +378,8 @@ def graded_multiplicities(n: int, d: int, labels) -> dict:
         table[rho] = {}
         by_size.setdefault(rho.second.size(), []).append(rho)
     for dcomp in enumerate_sym_compositions(n, 2 * d):
-        head = dcomp.entries[:n]
-        half_mid = (dcomp.entries[n] // 2,)
+        head = dcomp[:n]
+        half_mid = (dcomp[n] // 2,)
         for k, group in by_size.items():
             betas = bounded_compositions(k, head)
             alphas = [_weight_key(tuple(map(int.__sub__, head, b)) + half_mid) for b in betas]

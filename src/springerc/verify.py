@@ -6,11 +6,12 @@ reports one line per check; any failure carries the offending exact values.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from . import geometry, hyperoctahedral as ho, springer, tensor
 from .partitions import (
     Bipartition,
     Partition,
-    Record,
     enumerate_bipartitions,
     enumerate_sym_compositions,
     enumerate_type_c,
@@ -21,13 +22,10 @@ from .partitions import (
 )
 
 
-class CheckResult(Record):
+class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
     """The outcome of one check: its name, whether it passed, and the values."""
 
-    __slots__ = ("name", "ok", "detail")
-
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        super().__init__(name, ok, detail)
+    __slots__ = ()
 
     def line(self) -> str:
         mark = "ok" if self.ok else "FAIL"

@@ -183,7 +183,7 @@ def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
     for v in idx:
         counts[v - 1] += 1
         counts[big_n - v] += 1
-    return SymComposition(counts, n)
+    return SymComposition(counts)
 
 
 def w_action_matrix(

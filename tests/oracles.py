@@ -5,7 +5,7 @@ import json
 from fractions import Fraction
 from functools import lru_cache
 
-from springerc.partitions import Partition
+from springerc.partitions import Bipartition, Partition
 
 
 @lru_cache(maxsize=None)
@@ -159,8 +159,8 @@ def graded_multiplicity_per_label(rho, n: int, d: int) -> dict:
     mu, nu = rho.first, rho.second
     per_weight = {}
     for dcomp in enumerate_sym_compositions(n, 2 * d):
-        head = dcomp.entries[:n]
-        half_mid = (dcomp.entries[n] // 2,)
+        head = dcomp[:n]
+        half_mid = (dcomp[n] // 2,)
         per_weight[dcomp] = sum(
             kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
             * kostka(nu, beta)
@@ -232,6 +232,23 @@ def springer_fiber_dim(a: Partition) -> int:
     four_dim = 2 * _n_statistic(a) + sum(1 for part in a if part % 2)
     assert four_dim % 4 == 0, f"dim B_u of {a} is not an integer"
     return four_dim // 4
+
+
+def symbol_label(a: Partition, d: int) -> Bipartition:
+    """The label of the trivial local system on the orbit a of sp_{2d}, by Lusztig symbols.
+
+    Carter, Finite Groups of Lie Type, 13.3: pad a with zeros to 2d + 3
+    parts in increasing order, shift part i (from 1) up by i - 1, split the
+    even values 2 xi_i from the odd values 2 eta_i + 1, and lower the i-th
+    of each by i - 1.  The alphas and betas give the label beta|alpha.
+    """
+    parts = sorted(tuple(a) + (0,) * (2 * d + 3 - len(a)))
+    shifted = [part + i for i, part in enumerate(parts)]
+    xi = [v // 2 for v in shifted if v % 2 == 0]
+    eta = [v // 2 for v in shifted if v % 2]
+    alpha = [x - i for i, x in enumerate(xi)]
+    beta = [y - i for i, y in enumerate(eta)]
+    return Bipartition(Partition(beta[::-1]), Partition(alpha[::-1]))
 
 
 def partition_rule(parts):

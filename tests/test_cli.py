@@ -279,11 +279,11 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
     from springerc.partitions import SymComposition
 
     checked = []
-    real_init = SymComposition.__init__
+    real_new = SymComposition.__new__
 
-    def counted(self, entries, n):
-        real_init(self, entries, n)
-        checked.append(self.entries)
+    def counted(cls, entries):
+        checked.append(entries)
+        return real_new(cls, entries)
 
     class Sink:
         def __init__(self):
@@ -296,7 +296,7 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
             pass
 
     sink = Sink()
-    monkeypatch.setattr(SymComposition, "__init__", counted)
+    monkeypatch.setattr(SymComposition, "__new__", counted)
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["theta", "--n", "3", "--d", "4", "--format", "tsv"]) == 0
     rows = "".join(sink.writes).splitlines()[1:-1]

@@ -247,17 +247,17 @@ def test_coset_permutation_character_values():
         total += char[ident]
         assert all(v >= 0 for v in char.values())
     assert total == 5**2
-    d6 = next(c for c in comps if c.entries == (0, 0, 4, 0, 0))
+    d6 = next(c for c in comps if c == (0, 0, 4, 0, 0))
     assert all(v == 1 for v in coset_permutation_character(d6).values())
 
 
 def test_coset_character_guards_and_whole_group():
     with pytest.raises(ValueError):
-        coset_permutation_character(SymComposition((0,), 0))
+        coset_permutation_character(SymComposition((0,)))
     with pytest.raises(CostBoundExceeded):
-        coset_permutation_character(SymComposition((14,), 0))
+        coset_permutation_character(SymComposition((14,)))
     # the subgroup of the one-block component is the whole group
-    char = coset_permutation_character(SymComposition((6,), 0))
+    char = coset_permutation_character(SymComposition((6,)))
     assert set(char) == set(conjugacy_class_labels(3))
     assert all(v == 1 for v in char.values())
 
@@ -265,7 +265,7 @@ def test_coset_character_guards_and_whole_group():
 def test_coset_character_decomposes_integrally():
     table = character_table(2)
     comps = enumerate_sym_compositions(2, 4)
-    d1 = next(c for c in comps if c.entries == (1, 1, 0, 1, 1))
+    d1 = next(c for c in comps if c == (1, 1, 0, 1, 1))
     char = coset_permutation_character(d1)
     mults = decompose_character(char, table)
     assert sum(m * table.dim(rho) for rho, m in mults.items()) == 8

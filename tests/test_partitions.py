@@ -15,7 +15,6 @@ from oracles import (
 from springerc.partitions import (
     Bipartition,
     Partition,
-    Record,
     SymComposition,
     bounded_compositions,
     dominance_leq,
@@ -147,7 +146,7 @@ def test_enumerate_type_c():
 
 
 def test_enumerate_sym_compositions_worked_case():
-    got = {c.entries for c in enumerate_sym_compositions(2, 4)}
+    got = set(enumerate_sym_compositions(2, 4))
     assert got == {
         (1, 1, 0, 1, 1),
         (0, 1, 2, 1, 0),
@@ -156,8 +155,8 @@ def test_enumerate_sym_compositions_worked_case():
         (2, 0, 0, 0, 2),
         (0, 0, 4, 0, 0),
     }
-    assert [c.entries for c in enumerate_sym_compositions(0, 2)] == [(2,)]
-    assert {c.entries for c in enumerate_sym_compositions(1, 2)} == {(1, 0, 1), (0, 2, 0)}
+    assert list(enumerate_sym_compositions(0, 2)) == [(2,)]
+    assert set(enumerate_sym_compositions(1, 2)) == {(1, 0, 1), (0, 2, 0)}
     with pytest.raises(ValueError):
         enumerate_sym_compositions(2, 3)
     # built once per (n, total) and shared, so callers cannot mutate it
@@ -167,14 +166,14 @@ def test_enumerate_sym_compositions_worked_case():
 
 def test_sym_composition_validation():
     with pytest.raises(ValueError):
-        SymComposition((1, 0, 1, 0, 1), 2)  # odd total
+        SymComposition((1, 0, 1, 0, 1))  # odd total
     with pytest.raises(ValueError):
-        SymComposition((1, 0, 0, 1, 2), 2)  # not symmetric
+        SymComposition((1, 0, 0, 1, 2))  # not symmetric
     c = SymComposition.from_string("1,1,0,1,1")
     assert c.n == 2 and c.total == 4
     # symmetry + even total force an even middle entry
     for comp in enumerate_sym_compositions(3, 6):
-        assert comp.entries[3] % 2 == 0
+        assert comp[3] % 2 == 0
 
 
 def test_hook_lengths_examples():
@@ -194,20 +193,33 @@ def test_num_standard_tableaux_matches_enumeration(p):
     assert num_standard_tableaux(p) == count_standard_tableaux(p)
 
 
-def test_records_compare_by_class_and_fields():
-    class Pair(Record):
-        __slots__ = ("first", "second")
+def test_records_and_components_are_tuples_of_their_fields():
+    from springerc.geometry import htop_table
+    from springerc.hyperoctahedral import SignedPermutation, character_table
+    from springerc.verify import CheckResult
 
     rho = Bipartition(Partition([1]), Partition())
-    assert rho == Bipartition(Partition([1]), Partition())
-    assert rho != Pair(rho.first, rho.second)
+    assert rho == Bipartition(Partition([1]), Partition()) == ((1,), ())
     assert hash(rho) == hash((Partition([1]), Partition()))
     assert repr(rho) == "Bipartition(first=Partition([1]), second=Partition([]))"
-    c = SymComposition((1, 0, 1), 1)
-    assert repr(c) == "SymComposition(entries=(1, 0, 1), n=1)"
+    c = SymComposition((1, 0, 1))
+    assert c == (1, 0, 1) and hash(c) == hash((1, 0, 1))
+    assert repr(c) == "SymComposition((1, 0, 1))"
+    assert (c.n, c.total) == (1, 2)
     assert {c: 1}[SymComposition.from_string("1,0,1")] == 1
-    with pytest.raises(AttributeError):
-        rho.first = Partition()
+    with pytest.raises(ValueError):
+        SymComposition((1, 1))  # even length, rejected by the constructor itself
+    records = [
+        (rho, "first"),
+        (htop_table(1, 1)[0], "total"),
+        (CheckResult("name", True), "ok"),
+        (character_table(1), "d"),
+        (SignedPermutation.identity(2), "signs"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert CheckResult("name", True).detail == ""
     with pytest.raises(AttributeError):
         c.n = 2
 

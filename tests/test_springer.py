@@ -1,5 +1,5 @@
 import pytest
-from oracles import b_invariant, springer_fiber_dim
+from oracles import b_invariant, springer_fiber_dim, symbol_label
 
 from springerc.geometry import orbit_dim
 from springerc.partitions import (
@@ -102,11 +102,13 @@ def test_coverage_report_small_ranks():
 @pytest.mark.parametrize("d", range(19))
 def test_b_invariant_oracle(d):
     # Over each orbit the b-invariants of its labels are at least dim B_u,
-    # and exactly one label (the trivial local system) reaches it.  Labels
-    # whose scan output needed sorting (from d = 6 on) are among those checked.
+    # and exactly one label (the trivial local system) reaches it: the one
+    # its Lusztig symbol gives.  Labels whose scan output needed sorting
+    # (from d = 6 on) are among those checked.
     for a, fiber in springer_image(d).items():
         dim_bu = springer_fiber_dim(a)
         assert 2 * dim_bu == 2 * d * d - orbit_dim(a)
         b_values = [b_invariant(rho) for rho in fiber]
         assert min(b_values) == dim_bu, a
         assert b_values.count(dim_bu) == 1, a
+        assert fiber[b_values.index(dim_bu)] == symbol_label(a, d), a
