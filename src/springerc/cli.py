@@ -163,22 +163,29 @@ def cmd_htop(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    from .geometry import iter_flag_matrices
+    from functools import lru_cache
+    from operator import add
+
+    from .geometry import flag_halves, iter_flag_matrices
     from .partitions import SymComposition
 
     dcomp = None if args.component is None else SymComposition.from_string(args.component)
-    # Every check runs here, before the first byte of output.
-    flags = iter_flag_matrices(args.n, args.d, dcomp, args.max_cells)
     d, big_n = args.d, 2 * args.n + 1
-    # Each format fills one %-template per row, built once per command.
+    # Every check runs here, before the first byte of output.
+    if args.format == "tsv":
+        left, right = flag_halves(args.n, d, dcomp, args.max_cells)
+    else:
+        flags = iter_flag_matrices(args.n, d, dcomp, args.max_cells)
+    # json and pretty fill one %-template per row, built once per command.
     chi = ",".join(["%d"] * d)
-    gradings: dict[tuple[int, ...], str] = {}
+    # Few distinct gradings occur, so each is formatted once; with no right
+    # half (d <= 1) every flag has its own, so none is kept.
+    cached = lru_cache(maxsize=None if d > 1 else 0)
+    frame = "\t%s\n" if args.format == "tsv" else "%s"  # a tsv grading ends its row
 
+    @cached
     def grading(sums) -> str:
-        # Few distinct gradings occur, so each is formatted once.
-        if sums not in gradings:
-            gradings[sums] = ",".join(map(str, sums))
-        return gradings[sums]
+        return frame % ",".join(map(str, sums))
 
     if args.format == "json":
         matrices = [
@@ -189,11 +196,28 @@ def cmd_theta(args) -> int:
         return EXIT_OK
 
     def tsv():
-        row = ",".join(["%d"] * 2 * d) + "\t" + chi + "\t%s\n"
+        # A row is head + middle + head_mirror + tab + head + chi_tail +
+        # grading; each right half has its middle and chi_tail.
+        pieces = []
+        for tail, mirror, _ in right:
+            middle = ",".join(["", *map(str, tail + mirror), ""]) if d else ""
+            pieces.append((middle, "".join(f",{v}" for v in tail)))
+
+        @cached
+        def row_gradings(left_sums):
+            # None marks a right half whose sum with left_sums is not the component.
+            sums = [tuple(map(add, left_sums, right_sums)) for _, _, right_sums in right]
+            return [grading(s) if dcomp is None or s == dcomp else None for s in sums]
+
         yield "columns\tchi\tgrading\n"
         count = 0
-        for count, (cols, sums) in enumerate(flags, 1):
-            yield row % (*cols, *cols[:d], grading(sums))
+        for head, head_mirror, left_sums in left:
+            text = ",".join(map(str, head))
+            after = ",".join(map(str, head_mirror)) + "\t" + text
+            for (middle, chi_tail), ending in zip(pieces, row_gradings(left_sums)):
+                if ending is not None:
+                    count += 1
+                    yield text + middle + after + chi_tail + ending
         yield f"count\t{count}\t\n"
 
     def pretty():

@@ -14,11 +14,11 @@ tensor bimodule.
 
 Each component holds coordinate flags, 0/1 matrices whose first d columns
 form a monomial basis index of the tensor space and whose row sums are the
-component's composition.  iter_flag_matrices yields them one at a time, as
-(columns, row sums) tuples.  Each flag joins a left and a right half of its
-index, each half built once with its mirror and its row sums, so a flag
-costs two concatenations and one sum of tuples; a single component is
-the flags whose sums equal its entries.
+component's composition.  Each flag joins a left and a right half of its
+index, each built once with its mirror and its row sums (flag_halves).
+Two joins share the halves: iter_flag_matrices joins their tuples, and
+`theta`'s tsv writer their formatted strings.  A single component is the
+flags whose sums equal its entries.
 
 A component is a SymComposition, the tuple of its entries, so it is
 compared with the row sums directly.  An HtopReport is a named tuple; json
@@ -68,6 +68,29 @@ def iter_flag_matrices(
     is invalid input.  Every check runs when this is called, before the
     first flag is asked for; the flags are then built one at a time.
     """
+    left, right = flag_halves(n, d, dcomp, max_cells)
+    return (
+        (head + tail + tail_mirror + head_mirror, sums)
+        for head, head_mirror, left_sums in left
+        for tail, tail_mirror, right_sums in right
+        for sums in [tuple(map(add, left_sums, right_sums))]
+        if dcomp is None or sums == dcomp
+    )
+
+
+def flag_halves(
+    n: int,
+    d: int,
+    dcomp: SymComposition | None = None,
+    max_cells: int = DEFAULT_MAX_CELLS,
+):
+    """(left halves, right halves) of the flags, after iter_flag_matrices' checks.
+
+    A head is a left half of d - d // 2 letters and a right half of d // 2,
+    each (letters, mirrored letters reversed, row sums), both in lex order.
+    The left halves stream; the shorter right halves are stored, so at d = 1
+    no row sums are held twice.
+    """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
     if dcomp is not None and (dcomp.n != n or dcomp.total != 2 * d):
@@ -80,23 +103,8 @@ def iter_flag_matrices(
             f"a flag row of {width} entries exceeds the ceiling {max_cells}"
         )
     check_cells(n, d, max_cells)
-    return _flag_matrices(n, d, dcomp)
-
-
-def _flag_matrices(n: int, d: int, component):
-    # A head h_1..h_d splits into a left half of d - d // 2 letters and a
-    # right half of d // 2, so its columns are
-    # head + tail + tail_mirror + head_mirror and its row sums add up.
-    # Taking the left halves outer and the right halves inner keeps the
-    # heads in lex order.  Only the shorter right halves are stored, so at
-    # d = 1 a flag's row sums are not held twice.
     big_n = 2 * n + 1
-    right = list(_half_heads(big_n, d // 2))
-    for head, head_mirror, left_sums in _half_heads(big_n, d - d // 2):
-        for tail, tail_mirror, right_sums in right:
-            sums = tuple(map(add, left_sums, right_sums))
-            if component is None or sums == component:
-                yield head + tail + tail_mirror + head_mirror, sums
+    return _half_heads(big_n, d - d // 2), list(_half_heads(big_n, d // 2))
 
 
 def _half_heads(big_n: int, length: int):

@@ -19,11 +19,12 @@ untwisted on the second block.  Putting the twist on the first component
 makes ((),(d)) the trivial character and ((d),()) the flip character, which
 is the labelling the Springer map and all golden tables assume.
 
-Induced values are evaluated with the coset-sum formula over explicit coset
-representatives, one per a-subset of {1..d}; this stays exact and cheap for
-every rank the table builder accepts.  Permutation characters on the cosets
-of a block subgroup are counted in one pass over the group, from the cycle
-types of the subgroup's elements.  All arithmetic is on integers.
+An induced value at g sums the block character over the a-subsets of
+{1..d} that g maps to themselves (the coset-sum formula).  Those are the
+unions of cycles of g, so the value sums, over the sets S of the class's
+signed cycles of total length a, chi^mu(lengths in S) * (product of signs in
+S) * chi^nu(other lengths); no group element is built.  Coset permutation
+characters take one pass over the group.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .limits import MAX_CHARACTER_TABLE_RANK, CostBoundExceeded
 from .partitions import Bipartition, Partition, enumerate_bipartitions
@@ -73,20 +74,13 @@ class SignedPermutation(namedtuple("SignedPermutation", "images signs")):
         return SignedPermutation(images, signs)
 
     def inverse(self) -> "SignedPermutation":
-        inv_images = [0] * self.d
-        inv_signs = [1] * self.d
-        for k in range(self.d):
-            j = self.images[k]
-            inv_images[j - 1] = k + 1
-            inv_signs[j - 1] = self.signs[k]
-        return SignedPermutation(inv_images, inv_signs)
+        # The letters k in the order of their images: the k sent to j is j-th.
+        order = sorted(range(self.d), key=self.images.__getitem__)
+        return SignedPermutation([k + 1 for k in order], [self.signs[k] for k in order])
 
     def flip_character(self) -> int:
         """delta(w) = (-1)^(number of sign flips), a linear character."""
-        out = 1
-        for s in self.signs:
-            out *= s
-        return out
+        return prod(self.signs)
 
     def perm_sign(self) -> int:
         """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
@@ -142,24 +136,12 @@ def conjugacy_class_labels(d: int) -> list[Bipartition]:
 
 def class_representative(cls: Bipartition) -> SignedPermutation:
     """Canonical representative: consecutive cycles, one flip per negative cycle."""
-    d = cls.size()
-    images = list(range(1, d + 1))
-    signs = [1] * d
-    cursor = 1
-
-    def place(length: int, negative: bool):
-        nonlocal cursor
-        for i in range(length - 1):
-            images[cursor - 1 + i] = cursor + i + 1
-        images[cursor - 1 + length - 1] = cursor
-        if negative:
-            signs[cursor - 1 + length - 1] = -1
-        cursor += length
-
-    for part in cls.first:
-        place(part, False)
-    for part in cls.second:
-        place(part, True)
+    images, signs = [], []
+    for parts, sign in ((cls.first, 1), (cls.second, -1)):
+        for length in parts:
+            start = len(images) + 1
+            images += [*range(start + 1, start + length), start]
+            signs += [1] * (length - 1) + [sign]
     return SignedPermutation(images, signs)
 
 
@@ -192,9 +174,10 @@ def _sym_character_betas(betas: tuple[int, ...], ctype: tuple[int, ...]) -> int:
     return total
 
 
-def sym_group_character(shape: Partition, ctype: Partition) -> int:
+@lru_cache(maxsize=None)
+def sym_group_character(shape: Partition, ctype: tuple[int, ...]) -> int:
     """Character of the symmetric group irreducible `shape` at class `ctype`."""
-    if shape.size() != ctype.size():
+    if shape.size() != sum(ctype):
         raise ValueError(f"size mismatch: |{shape}| vs |{ctype}|")
     length = len(shape)
     betas = tuple(shape[i] + (length - 1 - i) for i in range(length))
@@ -202,35 +185,17 @@ def sym_group_character(shape: Partition, ctype: Partition) -> int:
 
 
 @lru_cache(maxsize=None)
-def _split_coset_reps(d: int, a: int) -> tuple[SignedPermutation, ...]:
-    # One representative per left coset of W_a x W_b: the order-preserving
-    # placement of {1..a} onto each a-subset, all signs positive.
-    reps = []
-    for subset in itertools.combinations(range(1, d + 1), a):
-        rest = [x for x in range(1, d + 1) if x not in subset]
-        images = list(subset) + rest
-        reps.append(SignedPermutation(images, (1,) * d))
-    return tuple(reps)
-
-
-def _block_cycle_types(y: SignedPermutation, a: int) -> tuple[Partition, Partition, int]:
-    """Unsigned cycle types of y on 1..a and on a+1..d, and delta on 1..a.
-
-    y must map each block to itself, so every cycle lies in one block, and
-    the flip character of the first block is the product of its cycle signs.
-    """
-    first, second, delta = [], [], 1
-    for start, length, sign in _cycles(y):
-        if start <= a:
-            first.append(length)
-            delta *= sign
-        else:
-            second.append(length)
-    return (
-        Partition(sorted(first, reverse=True)),
-        Partition(sorted(second, reverse=True)),
-        delta,
-    )
+def _cycle_splits(cls: Bipartition, a: int) -> tuple:
+    """(lengths in S, product of signs in S, lengths not in S), lengths
+    decreasing, for each set S of the class's signed cycles of total length a."""
+    cycles = [(k, 1) for k in cls.first] + [(k, -1) for k in cls.second]
+    splits = []
+    for inside in itertools.product((True, False), repeat=len(cycles)):
+        chosen = sorted((c for c, keep in zip(cycles, inside) if keep), reverse=True)
+        if sum(k for k, _ in chosen) == a:
+            rest = sorted((k for (k, _), keep in zip(cycles, inside) if not keep), reverse=True)
+            splits.append((tuple(k for k, _ in chosen), prod(s for _, s in chosen), tuple(rest)))
+    return tuple(splits)
 
 
 def character_value(rho: Bipartition, cls: Bipartition) -> int:
@@ -240,20 +205,12 @@ def character_value(rho: Bipartition, cls: Bipartition) -> int:
         raise ValueError(f"size mismatch: |{rho}| = {d} but class has total {cls.size()}")
     if d == 0:
         return 1
-    a = rho.first.size()
-    g = class_representative(cls)
-    total = 0
-    for t in _split_coset_reps(d, a):
-        y = t.inverse() * g * t
-        if any(y.images[k] > a for k in range(a)):
-            continue
-        first, second, delta = _block_cycle_types(y, a)
-        total += (
-            sym_group_character(rho.first, first)
-            * delta
-            * sym_group_character(rho.second, second)
-        )
-    return total
+    return sum(
+        sym_group_character(rho.first, first)
+        * sign
+        * sym_group_character(rho.second, second)
+        for first, sign, second in _cycle_splits(cls, rho.first.size())
+    )
 
 
 class CharacterTable(namedtuple("CharacterTable", "d rows cols values class_sizes")):

@@ -133,18 +133,27 @@ def _projector_int(
 
 
 def _check_idempotent(acc, dim, order, rho):
-    size = len(acc)
-    cols = list(zip(*acc))
-    for i in range(size):
-        row = acc[i]
-        support = [k for k in range(size) if row[k]]
-        for j in range(size):
-            col = cols[j]
-            prod = sum(row[k] * col[k] for k in support)
-            if dim * prod != order * acc[i][j]:
+    rows = _sparse_rows(acc)
+    for i, row in enumerate(rows):
+        for j, (entry, prod) in enumerate(zip(acc[i], _row_times(row, rows, len(acc)))):
+            if dim * prod != order * entry:
                 raise ArithmeticError(
                     f"projector for {rho} is not idempotent at entry ({i},{j})"
                 )
+
+
+def _sparse_rows(matrix) -> list[list[tuple[int, int]]]:
+    """Each row of the matrix as the list of its nonzero (column, entry) pairs."""
+    return [[(k, x) for k, x in enumerate(row) if x] for row in matrix]
+
+
+def _row_times(row, rows, size: int) -> list[int]:
+    """The dense row vector row * B, for B and row given as sparse rows."""
+    out = [0] * size
+    for k, x in row:
+        for j, y in rows[k]:
+            out[j] += x * y
+    return out
 
 
 def projector_rank(rho: Bipartition, n: int, d: int, convention: str = "sign") -> int:

@@ -7,6 +7,7 @@ reports one line per check; any failure carries the offending exact values.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 
 from . import geometry, hyperoctahedral as ho, springer, tensor
 from .partitions import (
@@ -52,25 +53,21 @@ def suite_characters() -> list[CheckResult]:
         out.append(_check(f"identity column equals dims d={d}", dims_ok))
         sq = sum(table.dim(rho) ** 2 for rho in table.rows)
         out.append(_check(f"sum of dim^2 d={d}", sq == order, f"{sq} vs {order}"))
-        row_ok = True
-        for i, r1 in enumerate(table.rows):
-            for r2 in table.rows[i:]:
-                inner = sum(
-                    table.class_sizes[c] * table.value(r1, c) * table.value(r2, c)
-                    for c in table.cols
-                )
-                expected = order if r1 == r2 else 0
-                if inner != expected:
-                    row_ok = False
+        # The table as rows of values, one per irreducible, and as columns.
+        rows = [[table.value(rho, c) for c in table.cols] for rho in table.rows]
+        sizes = [table.class_sizes[c] for c in table.cols]
+        row_ok = all(
+            sum(map(mul, sizes, map(mul, rows[i], rows[j]))) == order * (i == j)
+            for i in range(len(rows))
+            for j in range(i, len(rows))
+        )
         out.append(_check(f"row orthogonality d={d}", row_ok))
-        col_ok = True
-        for i, c1 in enumerate(table.cols):
-            for c2 in table.cols[i:]:
-                inner = sum(
-                    table.value(rho, c1) * table.value(rho, c2) for rho in table.rows
-                )
-                if inner * table.class_sizes[c1] != (order if c1 == c2 else 0):
-                    col_ok = False
+        cols = list(zip(*rows))
+        col_ok = all(
+            sum(map(mul, cols[i], cols[j])) * sizes[i] == order * (i == j)
+            for i in range(len(cols))
+            for j in range(i, len(cols))
+        )
         out.append(_check(f"column orthogonality d={d}", col_ok))
     table = ho.character_table(3)
     d = 3
@@ -254,20 +251,23 @@ def suite_schur_weyl() -> list[CheckResult]:
 
 
 def _projector_algebra_ok(n: int, d: int) -> bool:
-    # On the integer accumulators A = (|W|/dim) P: the projectors P sum to
-    # 1 exactly when sum dim * A = |W| * I, and are orthogonal exactly when
-    # A_rho A_sigma = 0.  Each A was checked idempotent as it was built.
+    # On the integer accumulators A = (|W|/dim) P, as sparse rows: the P sum
+    # to 1 exactly when sum dim * A = |W| * I, and are orthogonal exactly
+    # when A_rho A_sigma = 0.  Each A was checked idempotent as it was built.
     accs = [tensor._projector_int(rho, n, d, "sign") for rho in enumerate_bipartitions(d)]
     size = (2 * n + 1) ** d
     order = accs[0][2]
+    sparse = [(tensor._sparse_rows(acc), dim) for acc, dim, _ in accs]
     for i in range(size):
-        for j in range(size):
-            if sum(dim * acc[i][j] for acc, dim, _ in accs) != order * (i == j):
-                return False
-    for k, (a, _, _) in enumerate(accs):
-        for b, _, _ in accs[k + 1 :]:
-            cols = list(zip(*b))
-            if any(sum(map(int.__mul__, row, col)) for row in a for col in cols):
+        total = [0] * size
+        for rows, dim in sparse:
+            for k, x in rows[i]:
+                total[k] += dim * x
+        if any(x != order * (k == i) for k, x in enumerate(total)):
+            return False
+    for m, (a, _) in enumerate(sparse):
+        for b, _ in sparse[m + 1 :]:
+            if any(any(tensor._row_times(row, b, size)) for row in a):
                 return False
     return True
 

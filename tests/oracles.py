@@ -4,6 +4,7 @@ import itertools
 import json
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from springerc.partitions import Bipartition, Partition
 
@@ -117,6 +118,60 @@ def dominance_maximal_type_c(p: Partition):
     best = [q for q in below if all(dominance_leq(other, q) for other in below)]
     assert len(best) == 1, f"no unique maximum below {p}"
     return best[0]
+
+
+def block_cycle_types(y, a: int):
+    """Unsigned cycle types of y on 1..a and on a+1..d, and its flips on 1..a.
+
+    y is a signed permutation mapping each block to itself; the third value
+    is the product of its signs on the first block.
+    """
+    first, second, seen = [], [], set()
+    for start in range(1, len(y.images) + 1):
+        length, k = 0, start
+        while k not in seen:
+            seen.add(k)
+            length += 1
+            k = y.images[k - 1]
+        if length:
+            (first if start <= a else second).append(length)
+    return (
+        Partition(sorted(first, reverse=True)),
+        Partition(sorted(second, reverse=True)),
+        prod(y.signs[:a]),
+    )
+
+
+def character_value_by_cosets(rho: Bipartition, cls: Bipartition) -> int:
+    """Reference for hyperoctahedral.character_value: the coset-sum formula.
+
+    The irreducible rho = (mu, nu) is induced from W_a x W_b, a = |mu|.  Its
+    value at g sums the block character over one coset representative t
+    per a-subset of 1..d (the order-preserving placement of 1..a onto it,
+    all signs positive), keeping the t with t^-1 g t in W_a x W_b.
+    """
+    from springerc.hyperoctahedral import (
+        SignedPermutation,
+        class_representative,
+        sym_group_character,
+    )
+
+    d, a = rho.size(), rho.first.size()
+    g = class_representative(cls)
+    total = 0
+    for subset in itertools.combinations(range(1, d + 1), a):
+        rest = [x for x in range(1, d + 1) if x not in subset]
+        t = SignedPermutation(list(subset) + rest, (1,) * d)
+        y = t.inverse() * g * t
+        if any(y.images[k] > a for k in range(a)):
+            continue
+        first, second, delta = block_cycle_types(y, a)
+        total += (
+            sym_group_character(rho.first, first)
+            * delta
+            * sym_group_character(rho.second, second)
+        )
+    return total
 
 
 def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import theta_table
-from springerc import geometry, partitions, springer, tensor
+from springerc import geometry, hyperoctahedral, partitions, springer, tensor
 from springerc.cli import main
 from springerc.partitions import Partition, enumerate_bipartitions
 
@@ -235,6 +235,9 @@ THETA_CASES = (
     + [(1, 1, None), (0, 5, None), (3, 3, None), (1, 5, None), (300, 1, None)]
     + [(3, 5, "0,0,0,10,0,0,0")]
     + [(1, 3, f"{a},{6 - 2 * a},{a}") for a in range(4)]
+    # Even d joins two halves of equal length; d = 1 joins a one-letter
+    # left half to the empty right half.
+    + [(2, 4, None), (2, 4, "1,1,4,1,1"), (4, 1, None)]
 )
 
 
@@ -257,6 +260,18 @@ def test_theta_largest_benchmark_table_is_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "fdb01ff6b4365a15a47d673efd124911fb2416ea7f39ccbf0fb56379117e3dab"
     )
+
+
+REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize("suite", ["all", "sw"])
+def test_verify_output_is_pinned(capsys, suite):
+    code, out, _ = run(capsys, "verify", suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[f"verify {suite}"]
 
 
 def test_theta_streams_in_constant_memory(monkeypatch):
@@ -471,6 +486,28 @@ def test_projector_algebra_check_can_fail(capsys, monkeypatch, perturbation):
     assert "FAIL  projector algebra (orthogonal idempotents summing to 1)" in out
     if perturbation == "scale":
         assert out.count("FAIL") == 1
+
+
+def test_orthogonality_checks_can_fail(capsys, monkeypatch):
+    # One changed value off the identity column breaks both orthogonality
+    # relations of its table and nothing else.
+    real = hyperoctahedral.character_table
+
+    def perturbed(d):
+        table = real(d)
+        if d != 2:
+            return table
+        cls = next(c for c in table.cols if c != table.identity_class())
+        values = dict(table.values)
+        values[table.rows[0], cls] += 1
+        return table._replace(values=values)
+
+    monkeypatch.setattr(hyperoctahedral, "character_table", perturbed)
+    code, out, _ = run(capsys, "verify", "characters")
+    assert code == 1
+    assert "FAIL  row orthogonality d=2" in out
+    assert "FAIL  column orthogonality d=2" in out
+    assert out.count("FAIL") == 2
 
 
 def test_richardson_check_can_fail(capsys, monkeypatch):

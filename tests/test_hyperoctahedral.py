@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense import generators
+from oracles import block_cycle_types, character_value_by_cosets
 from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
     SignedPermutation,
-    _block_cycle_types,
     character_table,
     character_value,
     class_representative,
@@ -20,7 +20,7 @@ from springerc.hyperoctahedral import (
     iter_group,
     sym_group_character,
 )
-from springerc.limits import CostBoundExceeded
+from springerc.limits import MAX_CHARACTER_TABLE_RANK, CostBoundExceeded
 from springerc.partitions import (
     Bipartition,
     Partition,
@@ -182,29 +182,36 @@ def test_defining_representation_character():
 
 
 def test_character_value_against_group_sum():
-    # the coset-representative formula agrees with the full averaging sum
-    d = 2
-    elements = list(iter_group(d))
-    for rho in enumerate_bipartitions(d):
-        a = rho.first.size()
-        subgroup_order = group_order(a) * group_order(d - a)
-        for cls in conjugacy_class_labels(d):
-            g = class_representative(cls)
-            total = Fraction(0)
-            for x in elements:
-                y = x.inverse() * g * x
-                if any(y.images[k] > a for k in range(a)):
-                    continue
-                delta = 1
-                for s in y.signs[:a]:
-                    delta *= s
-                first, second, _delta = _block_cycle_types(y, a)
-                total += (
-                    sym_group_character(rho.first, first)
-                    * delta
-                    * sym_group_character(rho.second, second)
-                )
-            assert total / subgroup_order == character_value(rho, cls)
+    # the cycle-subset formula agrees with the full averaging sum
+    for d in (2, 3):
+        elements = list(iter_group(d))
+        for rho in enumerate_bipartitions(d):
+            a = rho.first.size()
+            subgroup_order = group_order(a) * group_order(d - a)
+            for cls in conjugacy_class_labels(d):
+                g = class_representative(cls)
+                total = Fraction(0)
+                for x in elements:
+                    y = x.inverse() * g * x
+                    if any(y.images[k] > a for k in range(a)):
+                        continue
+                    first, second, delta = block_cycle_types(y, a)
+                    total += (
+                        sym_group_character(rho.first, first)
+                        * delta
+                        * sym_group_character(rho.second, second)
+                    )
+                assert total / subgroup_order == character_value(rho, cls)
+
+
+@pytest.mark.parametrize("d", range(1, MAX_CHARACTER_TABLE_RANK + 1))
+def test_character_table_matches_the_coset_sum_oracle(d):
+    table = character_table(d)
+    assert table.values == {
+        (rho, cls): character_value_by_cosets(rho, cls)
+        for rho in enumerate_bipartitions(d)
+        for cls in conjugacy_class_labels(d)
+    }
 
 
 def test_character_table_shape_and_orthogonality():

@@ -33,6 +33,8 @@ from springerc.partitions import (
 )
 from springerc.tensor import (
     _apply_swap,
+    _check_idempotent,
+    _projector_int,
     projector_rank,
     schur_weyl_decompose,
     tensor_basis,
@@ -270,6 +272,21 @@ def test_projector_algebra():
     for i, (_, p) in enumerate(items):
         for _, q in items[i + 1 :]:
             assert (p @ q).is_zero()
+
+
+def test_idempotence_check_sees_one_changed_entry():
+    # dim * A @ A == |W| * A is compared at every entry, on or off the
+    # support.  For this label, adding 1 anywhere breaks idempotence (for
+    # some others it can give another idempotent).
+    rho = bp("1,1|-")
+    acc, dim, order = _projector_int(rho, 2, 2, "sign")
+    _check_idempotent(acc, dim, order, rho)
+    for i in range(25):
+        for j in range(25):
+            grid = [list(row) for row in acc]
+            grid[i][j] += 1
+            with pytest.raises(ArithmeticError, match="not idempotent"):
+                _check_idempotent(grid, dim, order, rho)
 
 
 def test_projector_rank_equals_trace():
