@@ -8,7 +8,6 @@ engine it runs.
 import importlib
 
 _EXPORTS = {
-    "exact": ("bareiss_rank",),
     "geometry": (
         "HtopReport",
         "component_nonempty",

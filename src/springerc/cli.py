@@ -34,7 +34,8 @@ EXIT_RESOURCE = 2
 EXIT_BAD_INPUT = 3
 EXIT_SELF_CHECK = 4
 
-WRITE_BLOCK = 1024  # rows (or JSON tokens) joined into one stdout write
+WRITE_BLOCK = 1024  # at most this many rows (or JSON tokens) per stdout write
+WRITE_CHARS = 1 << 16  # a block closes once it holds this many characters
 
 
 def _character_name(rho) -> str:
@@ -58,14 +59,23 @@ def _character_name(rho) -> str:
 
 
 def _write_blocks(chunks) -> None:
-    """Write the strings to stdout, WRITE_BLOCK of them joined per write.
+    """Write the strings to stdout, joined into blocks of at most WRITE_BLOCK.
 
     Stdout may be unbuffered (PYTHONUNBUFFERED), where every write is a
-    system call, so a row-at-a-time table would pay one per row.
+    system call, so a row-at-a-time table would pay one per row.  A block
+    also closes at WRITE_CHARS characters, so wide rows never build a
+    string much longer than that.
     """
     chunks = iter(chunks)
     for first in chunks:
-        sys.stdout.write(first + "".join(itertools.islice(chunks, WRITE_BLOCK - 1)))
+        block = [first]
+        size = len(first)
+        for chunk in itertools.islice(chunks, WRITE_BLOCK - 1):
+            block.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_CHARS:
+                break
+        sys.stdout.write("".join(block))
 
 
 def _print_json(payload) -> None:

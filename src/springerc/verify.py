@@ -10,6 +10,7 @@ from collections import namedtuple
 from operator import mul
 
 from . import geometry, hyperoctahedral as ho, springer, tensor
+from .exact import _row_times, _sparse_rows
 from .partitions import (
     Bipartition,
     Partition,
@@ -254,10 +255,10 @@ def _projector_algebra_ok(n: int, d: int) -> bool:
     # On the integer accumulators A = (|W|/dim) P, as sparse rows: the P sum
     # to 1 exactly when sum dim * A = |W| * I, and are orthogonal exactly
     # when A_rho A_sigma = 0.  Each A was checked idempotent as it was built.
-    accs = [tensor._projector_int(rho, n, d, "sign") for rho in enumerate_bipartitions(d)]
+    accs = [tensor._scaled_projector(rho, n, d) for rho in enumerate_bipartitions(d)]
     size = (2 * n + 1) ** d
     order = accs[0][2]
-    sparse = [(tensor._sparse_rows(acc), dim) for acc, dim, _ in accs]
+    sparse = [(_sparse_rows(acc), dim) for acc, dim, _ in accs]
     for i in range(size):
         total = [0] * size
         for rows, dim in sparse:
@@ -267,7 +268,7 @@ def _projector_algebra_ok(n: int, d: int) -> bool:
             return False
     for m, (a, _) in enumerate(sparse):
         for b, _ in sparse[m + 1 :]:
-            if any(any(tensor._row_times(row, b, size)) for row in a):
+            if any(any(_row_times(row, b, size)) for row in a):
                 return False
     return True
 

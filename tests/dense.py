@@ -1,20 +1,70 @@
 """The dense N^d x N^d bimodule, kept as a test oracle.
 
-Exact rational matrices, the group acting by dense matrices, the Lie
-algebra gl_{n+1} (+) gl_n by matrix units through the Leibniz rule, the
-generators of sl_N fixed by the flip involution, and the eigenbasis change
-of basis that intertwines the two group conventions.  None of it is on a
-CLI path: the package keeps only the integer projector accumulators and
-their ranks that `verify sw` runs (springerc.tensor).
+Exact rational matrices ranked by fraction-free (Bareiss) elimination, the
+group acting by dense matrices in both conventions, the Lie algebra
+gl_{n+1} (+) gl_n by matrix units through the Leibniz rule, the generators
+of sl_N fixed by the flip involution, and the eigenbasis change of basis
+that intertwines the two conventions.  ``sign`` is the package's action
+(springerc.tensor.w_action_monomial); ``swap`` is the permutation action of
+the coordinate-flag model (springerc.tensor._apply_swap).  None of it is
+on a CLI path: the package keeps only the integer sign-convention
+projector accumulators that `verify sw` checks, and reads their ranks as
+traces.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from springerc.exact import bareiss_rank
-from springerc.hyperoctahedral import SignedPermutation
-from springerc.partitions import Bipartition, SymComposition
-from springerc.tensor import _projector_int, basis_positions, tensor_basis, w_action_monomial
+from springerc.hyperoctahedral import (
+    SignedPermutation,
+    character_table,
+    cycle_type,
+    group_order,
+    iter_group,
+)
+from springerc.partitions import Bipartition, SymComposition, irr_dim
+from springerc.tensor import (
+    _apply_swap,
+    _scaled_projector,
+    basis_positions,
+    tensor_basis,
+    w_action_monomial,
+)
+
+
+def bareiss_rank(grid: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free Gaussian elimination.
+
+    One-step Bareiss: after eliminating with pivot p the 2x2-determinant
+    update is divided by the previous pivot, which is exact because every
+    intermediate entry is a minor of the original matrix (up to the sign
+    introduced by row swaps).
+    """
+    m = [list(row) for row in grid]
+    if not m:
+        return 0
+    n_rows, n_cols = len(m), len(m[0])
+    prev = 1
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+        row_r = m[r]
+        p = row_r[c]
+        for i in range(r + 1, n_rows):
+            row_i = m[i]
+            f = row_i[c]
+            for j in range(c + 1, n_cols):
+                row_i[j] = (p * row_i[j] - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = p
+        r += 1
+        if r == n_rows:
+            break
+    return r
 
 
 class ExactMatrix:
@@ -186,14 +236,21 @@ def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
     return SymComposition(counts)
 
 
+def _swap_monomial(w: SignedPermutation, n: int, d: int) -> tuple[list[int], list[int]]:
+    pos = basis_positions(n, d)
+    target = [pos[_apply_swap(w, t, 2 * n + 1)] for t in tensor_basis(n, d)]
+    return target, [1] * len(target)
+
+
 def w_action_matrix(
     w: SignedPermutation,
     n: int,
     d: int,
     convention: str,
 ) -> ExactMatrix:
-    """Dense matrix of the group element in the chosen convention."""
-    target, coeff = w_action_monomial(w, n, d, convention)
+    """Dense matrix of the group element in the ``sign`` or ``swap`` convention."""
+    monomial = {"sign": w_action_monomial, "swap": _swap_monomial}[convention]
+    target, coeff = monomial(w, n, d)
     size = len(target)
     grid = [[0] * size for _ in range(size)]
     for p in range(size):
@@ -365,7 +422,20 @@ def isotypic_projector(
     d: int,
     convention: str = "sign",
 ) -> ExactMatrix:
-    """The idempotent (dim/|W|) sum_w chi_rho(w^-1) action(w)."""
-    acc, dim, order = _projector_int(rho, n, d, convention)
-    scale = Fraction(dim, order)
-    return ExactMatrix([[scale * x for x in row] for row in acc])
+    """The idempotent (dim/|W|) sum_w chi_rho(w^-1) action(w).
+
+    The sign projector is the package's checked accumulator; the swap
+    projector is summed here from the flag-model permutations.
+    """
+    if convention == "sign":
+        acc, dim, order = _scaled_projector(rho, n, d)
+    else:
+        table = character_table(d)
+        size = (2 * n + 1) ** d
+        acc = [[0] * size for _ in range(size)]
+        for w in iter_group(d):
+            chi = table.value(rho, cycle_type(w.inverse()))
+            for p, q in enumerate(_swap_monomial(w, n, d)[0]):
+                acc[q][p] += chi
+        dim, order = irr_dim(rho), group_order(d)
+    return ExactMatrix(acc) * Fraction(dim, order)

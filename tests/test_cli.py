@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import theta_table
-from springerc import geometry, hyperoctahedral, partitions, springer, tensor
+from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor
 from springerc.cli import main
 from springerc.partitions import Partition, enumerate_bipartitions
 
@@ -274,6 +274,19 @@ def test_verify_output_is_pinned(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[f"verify {suite}"]
 
 
+class RecordingStdout:
+    """A stdout that keeps each write as one string."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+    def flush(self):
+        pass
+
+
 def test_theta_streams_in_constant_memory(monkeypatch):
     # Building all 16,807 rows before writing any takes about 12.8 MB.
     import springerc.geometry  # noqa: F401  (import cost is not the table's)
@@ -300,17 +313,7 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
         checked.append(entries)
         return real_new(cls, entries)
 
-    class Sink:
-        def __init__(self):
-            self.writes = []
-
-        def write(self, text):
-            self.writes.append(text)
-
-        def flush(self):
-            pass
-
-    sink = Sink()
+    sink = RecordingStdout()
     monkeypatch.setattr(SymComposition, "__new__", counted)
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["theta", "--n", "3", "--d", "4", "--format", "tsv"]) == 0
@@ -319,6 +322,19 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
     # Neither one write per row nor the whole table in one string.
     assert 1 < len(sink.writes) < 50
     assert checked == []
+
+
+def test_theta_bounds_each_write_by_characters(monkeypatch):
+    # Each row of this table is about 1.2 KB, so far fewer than WRITE_BLOCK
+    # rows fill WRITE_CHARS; a block closes at the row that reaches it.
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["theta", "--n", "300", "--d", "1", "--format", "tsv"]) == 0
+    rows = "".join(sink.writes).splitlines(keepends=True)
+    assert len(rows) == 603
+    widest = max(map(len, rows))
+    assert len(sink.writes) > 1
+    assert max(map(len, sink.writes)) <= cli.WRITE_CHARS + widest
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
@@ -463,13 +479,14 @@ def test_fiber_coverage_check_can_fail(capsys, monkeypatch):
 
 @pytest.mark.parametrize("perturbation", ["scale", "shift"])
 def test_projector_algebra_check_can_fail(capsys, monkeypatch, perturbation):
-    # "scale" doubles one accumulator, which breaks the sum to |W| * I but
-    # keeps every rank; "shift" moves one entry between two accumulators of
-    # dimension 1, which keeps the sum but breaks orthogonality.
-    real = tensor._projector_int
+    # "scale" doubles one accumulator, which breaks the sum to |W| * I and
+    # doubles its trace, so its multiplicity too; "shift" moves one entry
+    # between two accumulators of dimension 1, which keeps the sum and every
+    # trace but breaks orthogonality.
+    real = tensor._scaled_projector
 
-    def perturbed(rho, n, d, convention):
-        acc, dim, order = real(rho, n, d, convention)
+    def perturbed(rho, n, d):
+        acc, dim, order = real(rho, n, d)
         label = str(rho)
         if (n, d) != (2, 2) or label not in ("2|-", "-|2"):
             return acc, dim, order
@@ -480,12 +497,20 @@ def test_projector_algebra_check_can_fail(capsys, monkeypatch, perturbation):
             grid[0][1] += 1 if label == "2|-" else -1
         return tuple(map(tuple, grid)), dim, order
 
-    monkeypatch.setattr(tensor, "_projector_int", perturbed)
+    monkeypatch.setattr(tensor, "_scaled_projector", perturbed)
     code, out, _ = run(capsys, "verify", "sw")
     assert code == 1
-    assert "FAIL  projector algebra (orthogonal idempotents summing to 1)" in out
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     if perturbation == "scale":
-        assert out.count("FAIL") == 1
+        # the doubled trace doubles the multiplicity of 2|- at n = d = 2
+        assert failed == [
+            "FAIL  multiplicities match weight dimensions n=2 d=2",
+            "FAIL  dimension count n=2 d=2: 31 vs 25",
+            "FAIL  projector algebra (orthogonal idempotents summing to 1)",
+            "FAIL  graded totals agree with plain multiplicities n=2 d=2",
+        ]
+    else:
+        assert failed == ["FAIL  projector algebra (orthogonal idempotents summing to 1)"]
 
 
 def test_orthogonality_checks_can_fail(capsys, monkeypatch):

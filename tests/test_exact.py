@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dense import ExactMatrix
+from dense import ExactMatrix, bareiss_rank
 from oracles import naive_rank
-from springerc.exact import bareiss_rank
 
 entry = st.fractions(
     max_denominator=6,

@@ -105,6 +105,14 @@ def test_cycle_type_is_conjugation_invariant():
                 assert cycle_type(h * g * h.inverse()) == t
 
 
+def test_inverse_has_the_same_cycle_type():
+    # Each element is conjugate to its inverse, so the isotypic projector
+    # may read chi(w^-1) at the class of w.
+    for d in range(1, 6):
+        for w in iter_group(d):
+            assert cycle_type(w.inverse()) == cycle_type(w)
+
+
 def test_perm_sign_is_the_parity_of_the_inversions():
     for d in range(5):
         for w in iter_group(d):

@@ -14,7 +14,8 @@ import pytest
 
 import springerc
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PROBE = """
 import sys
 before = set(sys.modules)
@@ -38,12 +39,16 @@ DENSE_STACK = {
 }
 
 
-def run_fresh(*argv):
+def fresh(*args):
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def run_fresh(*argv):
+    proc = fresh("-c", PROBE, *argv)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "LOADED"
@@ -128,3 +133,14 @@ def test_readme_example():
     report = htop_table(2, 2, Partition([2, 1, 1]))[0]
     assert report.total == 3
     assert report.degrees.keys() == report.per_component.keys()
+
+
+@pytest.mark.parametrize("suite", ["springer", "sw"])
+def test_benchmark_tracer_runs(suite):
+    # perfbench/traced_cli.py imports every module it traces by name and
+    # wraps some functions with fixed signatures; a renamed module or
+    # changed signature would make `run.py --trace 1` fail.
+    proc = fresh(str(ROOT / "perfbench" / "traced_cli.py"), "verify", suite)
+    assert proc.returncode == 0, proc.stderr
+    assert "checks passed" in proc.stdout
+    assert any(line.startswith("PERFBENCH_TRACE ") for line in proc.stderr.splitlines())

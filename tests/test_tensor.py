@@ -2,6 +2,7 @@ import pytest
 
 from dense import (
     ExactMatrix,
+    bareiss_rank,
     change_of_basis,
     g_action_matrix,
     generators,
@@ -15,9 +16,11 @@ from oracles import graded_multiplicity_by_projector, graded_multiplicity_per_la
 from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
     SignedPermutation,
+    character_table,
     class_representative,
     conjugacy_class_labels,
     coset_permutation_character,
+    decompose_character,
     iter_group,
 )
 from springerc.limits import CostBoundExceeded
@@ -34,11 +37,10 @@ from springerc.partitions import (
 from springerc.tensor import (
     _apply_swap,
     _check_idempotent,
-    _projector_int,
+    _scaled_projector,
     projector_rank,
     schur_weyl_decompose,
     tensor_basis,
-    w_action_monomial,
 )
 
 
@@ -136,19 +138,13 @@ def test_sign_flip_squares_to_identity():
     assert s1 @ s1 == ExactMatrix.identity(25)
 
 
-def test_unknown_convention_rejected():
-    with pytest.raises(ValueError):
-        w_action_matrix(SignedPermutation.identity(2), 2, 2, "other")
-
-
 def test_swap_action_is_block_diagonal_for_the_grading():
     n = d = 2
     basis = tensor_basis(n, d)
     gradings = [tensor_grading(t, n) for t in basis]
     for w in iter_group(d):
-        target, _coeff = w_action_monomial(w, n, d, "swap")
-        for p in range(len(basis)):
-            assert gradings[target[p]] == gradings[p]
+        for t, grading in zip(basis, gradings):
+            assert tensor_grading(_apply_swap(w, t, 2 * n + 1), n) == grading
 
 
 @pytest.mark.parametrize(
@@ -279,7 +275,7 @@ def test_idempotence_check_sees_one_changed_entry():
     # support.  For this label, adding 1 anywhere breaks idempotence (for
     # some others it can give another idempotent).
     rho = bp("1,1|-")
-    acc, dim, order = _projector_int(rho, 2, 2, "sign")
+    acc, dim, order = _scaled_projector(rho, 2, 2)
     _check_idempotent(acc, dim, order, rho)
     for i in range(25):
         for j in range(25):
@@ -290,25 +286,27 @@ def test_idempotence_check_sees_one_changed_entry():
 
 
 def test_projector_rank_equals_trace():
-    # rank of an idempotent equals its trace: independent cross-check of
-    # the fraction-free elimination path
+    # the package reads each rank as a trace, which holds for an
+    # idempotent; fraction-free elimination is the independent rank
     for n, d in ((1, 2), (2, 2)):
         for rho in enumerate_bipartitions(d):
             p = isotypic_projector(rho, n, d, "sign")
-            assert p.rank() == p.trace() == projector_rank(rho, n, d, "sign")
+            assert p.rank() == p.trace() == projector_rank(rho, n, d)
+    for n, d in ((1, 1), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)):
+        for rho in enumerate_bipartitions(d):
+            acc, _dim, _order = _scaled_projector(rho, n, d)
+            assert bareiss_rank(acc) == projector_rank(rho, n, d), (n, d, str(rho))
 
 
 def test_projector_input_validation():
     with pytest.raises(ValueError):
         isotypic_projector(bp("1|-"), 2, 2)
-    with pytest.raises(ValueError):
-        isotypic_projector(bp("1|1"), 2, 2, "bogus")
     with pytest.raises(CostBoundExceeded):
         isotypic_projector(bp("3,2|-"), 5, 5)
 
 
 def test_row_length_constraint_gives_rank_zero():
-    assert projector_rank(bp("-|1,1"), 1, 2, "sign") == 0
+    assert projector_rank(bp("-|1,1"), 1, 2) == 0
     assert gl_dim(Partition([1, 1]), 1) == 0
 
 
@@ -325,7 +323,7 @@ def test_schur_weyl_multiplicities():
 
 
 def test_d_one_projector_ranks_sum_to_dimension():
-    total = sum(projector_rank(rho, 2, 1, "sign") for rho in enumerate_bipartitions(1))
+    total = sum(projector_rank(rho, 2, 1) for rho in enumerate_bipartitions(1))
     assert total == 5
 
 
@@ -355,6 +353,22 @@ def test_kostka_engine_matches_projector_block_ranks(n, d):
     for rho, per_weight in table.items():
         assert per_weight == graded_multiplicity_by_projector(rho, n, d), rho
         assert sum(per_weight.values()) == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(4) for d in range(1, 5)])
+def test_kostka_engine_matches_induced_characters(n, d):
+    # The flags of component D are the cosets of its subgroup W_D, so
+    # Ind_{W_D}^W 1 holds each label, twisted by the flip character, as
+    # often as the Kostka engine counts it at D.  No projector is built.
+    table = character_table(d)
+    graded = graded_multiplicities(n, d, enumerate_bipartitions(d))
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
+        induced = decompose_character(coset_permutation_character(dcomp), table)
+        for rho, per_weight in graded.items():
+            assert per_weight[dcomp] == induced[Bipartition(rho.second, rho.first)], (
+                str(dcomp),
+                str(rho),
+            )
 
 
 @pytest.mark.parametrize("n,d", [(2, 5), (1, 7), (0, 9), (4, 3), (3, 4)])
@@ -436,9 +450,7 @@ def test_conventions_differ_by_the_flip_character():
     for n, d in ((1, 2), (2, 2)):
         for rho in enumerate_bipartitions(d):
             swapped = Bipartition(rho.second, rho.first)
-            assert projector_rank(rho, n, d, "swap") == projector_rank(
-                swapped, n, d, "sign"
-            )
+            assert isotypic_projector(rho, n, d, "swap").rank() == projector_rank(swapped, n, d)
 
 
 def test_cost_guard():
