@@ -24,7 +24,8 @@ An induced value at g sums the block character over the a-subsets of
 unions of cycles of g, so the value sums, over the sets S of the class's
 signed cycles of total length a, chi^mu(lengths in S) * (product of signs in
 S) * chi^nu(other lengths); no group element is built.  Coset permutation
-characters take one pass over the group.  All arithmetic is on integers.
+characters count fixed flags from the class's cycles too.  All arithmetic
+is on integers.
 """
 
 from __future__ import annotations
@@ -184,11 +185,16 @@ def sym_group_character(shape: Partition, ctype: tuple[int, ...]) -> int:
     return _sym_character_betas(betas, ctype)
 
 
+def _signed_cycles(cls: Bipartition) -> tuple:
+    """(length, sign) of each cycle of the class, positive cycles first."""
+    return tuple((k, 1) for k in cls.first) + tuple((k, -1) for k in cls.second)
+
+
 @lru_cache(maxsize=None)
 def _cycle_splits(cls: Bipartition, a: int) -> tuple:
     """(lengths in S, product of signs in S, lengths not in S), lengths
     decreasing, for each set S of the class's signed cycles of total length a."""
-    cycles = [(k, 1) for k in cls.first] + [(k, -1) for k in cls.second]
+    cycles = _signed_cycles(cls)
     splits = []
     for inside in itertools.product((True, False), repeat=len(cycles)):
         chosen = sorted((c for c, keep in zip(cycles, inside) if keep), reverse=True)
@@ -248,41 +254,35 @@ def character_table(d: int) -> CharacterTable:
 
 
 def coset_permutation_character(dcomp) -> dict[Bipartition, int]:
-    """Permutation character of the action on cosets of the block subgroup H.
+    """Permutation character of W on the flags of the component `dcomp`.
 
-    H places plain symmetric groups on consecutive blocks sized by the first
-    n entries of the symmetric composition, and a full signed-permutation
-    group on a final block of half the middle entry, so the blocks cover
-    d = total/2 letters.  The value at the class of g is the number of
-    cosets g fixes,
-
-        Ind_H^W 1 (g) = |W| * |cl(g) & H| / (|cl(g)| * |H|),
-
-    counted in one pass over W that keeps the elements of H.
+    The flags are the cosets of the component's block subgroup; g fixes a
+    flag when each orbit of g on +-1..+-d lies in one row.  A positive
+    k-cycle is two orbits swapped by negation, sent to a mirror pair of
+    rows (i, N+1-i) in 2 ways or both to the middle; a negative k-cycle is
+    one orbit closed under negation and goes to the middle row.
     """
     d = dcomp.total // 2
     if d < 1:
         raise ValueError("composition total must be at least 2")
     if d > MAX_CHARACTER_TABLE_RANK:
         raise CostBoundExceeded(f"rank {d} above {MAX_CHARACTER_TABLE_RANK}")
-    sizes = list(dcomp[: dcomp.n]) + [dcomp[dcomp.n] // 2]
-    # w lies in H when it maps each letter into its own block and flips
-    # signs only on the last block.
-    block = [i for i, size in enumerate(sizes) for _ in range(size)]
-    last = len(sizes) - 1
-    counts = Counter(
-        cycle_type(w)
-        for w in iter_group(d)
-        if all(
-            block[im - 1] == b and (s == 1 or b == last)
-            for im, s, b in zip(w.images, w.signs, block)
-        )
-    )
-    order = sum(counts.values())
-    return {
-        cls: group_order(d) * counts[cls] // (class_size(cls) * order)
-        for cls in conjugacy_class_labels(d)
-    }
+    head, middle = dcomp[: dcomp.n], dcomp[dcomp.n]
+    labels = conjugacy_class_labels(d)
+    return {cls: _fixed_flags(_signed_cycles(cls), head, middle) for cls in labels}
+
+
+@lru_cache(maxsize=None)
+def _fixed_flags(cycles: tuple, head: tuple, middle: int) -> int:
+    # Ways to place the cycles in rows with `head` and `middle` room left.
+    if not cycles:
+        return 1  # the room left always equals the cycles' length: none
+    (k, sign), rest = cycles[0], cycles[1:]
+    total = _fixed_flags(rest, head, middle - 2 * k) if middle >= 2 * k else 0
+    for i, room in enumerate(head):
+        if sign == 1 and room >= k:
+            total += 2 * _fixed_flags(rest, head[:i] + (room - k,) + head[i + 1 :], middle)
+    return total
 
 
 def decompose_character(values, table: CharacterTable) -> dict[Bipartition, int]:

@@ -181,9 +181,8 @@ def enumerate_bipartitions(d: int) -> list[Bipartition]:
         raise ValueError("d must be nonnegative")
     out = []
     for a in range(d, -1, -1):
-        for p in enumerate_partitions(a):
-            for q in enumerate_partitions(d - a):
-                out.append(Bipartition(p, q))
+        seconds = enumerate_partitions(d - a)
+        out += [Bipartition(p, q) for p in enumerate_partitions(a) for q in seconds]
     return out
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -172,6 +173,47 @@ def character_value_by_cosets(rho: Bipartition, cls: Bipartition) -> int:
             * sym_group_character(rho.second, second)
         )
     return total
+
+
+def coset_character_by_group(dcomp) -> dict:
+    """Reference for hyperoctahedral.coset_permutation_character: one group pass.
+
+    The block subgroup H places plain symmetric groups on consecutive
+    blocks sized by the first n entries of the composition, and a full
+    signed-permutation group on a final block of half the middle entry.
+    The value at the class of g is the number of cosets g fixes,
+
+        Ind_H^W 1 (g) = |W| * |cl(g) & H| / (|cl(g)| * |H|),
+
+    counted in one pass over W that keeps the elements of H.
+    """
+    from springerc.hyperoctahedral import (
+        class_size,
+        conjugacy_class_labels,
+        cycle_type,
+        group_order,
+        iter_group,
+    )
+
+    d = dcomp.total // 2
+    sizes = list(dcomp[: dcomp.n]) + [dcomp[dcomp.n] // 2]
+    # w lies in H when it maps each letter into its own block and flips
+    # signs only on the last block.
+    block = [i for i, size in enumerate(sizes) for _ in range(size)]
+    last = len(sizes) - 1
+    counts = Counter(
+        cycle_type(w)
+        for w in iter_group(d)
+        if all(
+            block[im - 1] == b and (s == 1 or b == last)
+            for im, s, b in zip(w.images, w.signs, block)
+        )
+    )
+    order = sum(counts.values())
+    return {
+        cls: group_order(d) * counts[cls] // (class_size(cls) * order)
+        for cls in conjugacy_class_labels(d)
+    }
 
 
 def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dense import generators
-from oracles import block_cycle_types, character_value_by_cosets
+from oracles import block_cycle_types, character_value_by_cosets, coset_character_by_group
+from springerc import hyperoctahedral
 from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
     SignedPermutation,
@@ -264,6 +266,27 @@ def test_coset_permutation_character_values():
     assert total == 5**2
     d6 = next(c for c in comps if c == (0, 0, 4, 0, 0))
     assert all(v == 1 for v in coset_permutation_character(d6).values())
+
+
+@pytest.mark.parametrize(
+    "n,d", [(n, d) for n in range(4) for d in range(1, 5)] + [(1, 5)]
+)
+def test_coset_character_matches_the_group_pass(n, d):
+    for dcomp in enumerate_sym_compositions(n, 2 * d):
+        assert coset_permutation_character(dcomp) == coset_character_by_group(dcomp), dcomp
+
+
+def test_coset_character_builds_no_group_element(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a group element")
+
+    monkeypatch.setattr(hyperoctahedral, "iter_group", refuse)
+    monkeypatch.setattr(SignedPermutation, "__new__", refuse)
+    dcomp = SymComposition((1, 2, 6, 2, 1))
+    char = coset_permutation_character(dcomp)
+    # 6! / (1! 2! 3!) ways to fill the rows, 2 sign choices per head letter
+    assert char[label([1] * 6, [])] == factorial(6) // (2 * 6) * 2**3
+    assert decompose_character(char, character_table(6))[label([], [6])] == 1
 
 
 def test_coset_character_guards_and_whole_group():

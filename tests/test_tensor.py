@@ -355,7 +355,7 @@ def test_kostka_engine_matches_projector_block_ranks(n, d):
         assert sum(per_weight.values()) == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
 
 
-@pytest.mark.parametrize("n,d", [(n, d) for n in range(4) for d in range(1, 5)])
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(4) for d in range(1, 7)])
 def test_kostka_engine_matches_induced_characters(n, d):
     # The flags of component D are the cosets of its subgroup W_D, so
     # Ind_{W_D}^W 1 holds each label, twisted by the flip character, as
