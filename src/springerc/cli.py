@@ -26,7 +26,7 @@ import argparse
 import itertools
 import sys
 
-from .limits import DEFAULT_MAX_CELLS, MAX_SPRINGER_TABLE_RANK, CostBoundExceeded
+from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -101,14 +101,13 @@ def _format_table(header: list[str], rows: list[list[str]], fmt: str) -> str:
 
 
 def cmd_springer(args) -> int:
-    from .partitions import enumerate_bipartitions, irr_dim
+    from .partitions import check_htop_work, enumerate_bipartitions, irr_dim
     from .springer import springer_orbit
 
     d = args.d
     if d < 0:
         raise ValueError("--d must be nonnegative")
-    if d > MAX_SPRINGER_TABLE_RANK:
-        raise CostBoundExceeded(f"--d {d} above the table bound {MAX_SPRINGER_TABLE_RANK}")
+    check_htop_work(0, d)
     rows = []
     for rho in enumerate_bipartitions(d):
         rows.append(

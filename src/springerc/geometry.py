@@ -32,10 +32,11 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
-from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells, check_htop_work
+from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells
 from .partitions import (
     Partition,
     SymComposition,
+    check_htop_work,
     dominance_leq,
     enumerate_sym_compositions,
     gl_dim,

@@ -30,7 +30,9 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, factorial
 
-from .limits import check_htop_work
+from .limits import CostBoundExceeded
+
+MAX_HTOP_WORK = 5_000_000
 
 
 class Partition(tuple):
@@ -347,6 +349,39 @@ def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
         inner = tuple(x for x in (s - r for s, r in zip(shape, strip)) if x)
         total += _kostka(inner, weight[:-1])
     return total
+
+
+def check_htop_work(n: int, d: int) -> None:
+    """Refuse a table whose Kostka-engine work exceeds MAX_HTOP_WORK.
+
+    htop_table and graded_multiplicities run it at their top, and
+    cmd_springer runs it at n = 0, since `springer --d` scans the same map
+    as `htop --n 0`.  The model is the per-bipartition engine, which
+    visits each (bipartition of d, component, beta) term once.  Those
+    terms number #bipartitions(d) * C(d+2n, 2n).  Each bipartition also
+    pays a fixed cost (the Springer scan, its dual, the component loop of
+    its orbit), counted as d^2 terms, and every term handles
+    length-(2n+1) tuples.  So the work is
+
+        (2n+1) * #bipartitions(d) * (C(d+2n, 2n) + d^2),
+
+    which ran at roughly one microsecond per unit.  The table engine shares
+    each beta enumeration and Kostka row among the bipartitions, so the
+    model bounds its work from above.  It grows with d, so checking the
+    ranks 0..d in turn stops at the first one over the ceiling and stays
+    cheap for any d.  The partition counts are read from the enumerator the
+    engine then reuses; a refused table enumerates at most the partitions
+    of 19.
+    """
+    partitions = []  # p(0), p(1), ...: numbers of partitions
+    for rank in range(d + 1):
+        partitions.append(len(_partitions_desc(rank, rank)))
+        bipartitions = sum(map(int.__mul__, partitions, reversed(partitions)))
+        work = (2 * n + 1) * bipartitions * (comb(rank + 2 * n, 2 * n) + rank * rank)
+        if work > MAX_HTOP_WORK:
+            raise CostBoundExceeded(
+                f"work at n={n}, d={d} exceeds the ceiling {MAX_HTOP_WORK}"
+            )
 
 
 def graded_multiplicities(n: int, d: int, labels) -> dict:

@@ -11,6 +11,21 @@ from springerc.partitions import Bipartition, Partition
 
 
 @lru_cache(maxsize=None)
+def partition_number(m: int) -> int:
+    """p(m) by Euler's pentagonal number recurrence; nothing is enumerated."""
+    if m == 0:
+        return 1
+    total, k = 0, 1
+    while k * (3 * k - 1) // 2 <= m:
+        sign = 1 if k % 2 else -1
+        for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if g <= m:
+                total += sign * partition_number(m - g)
+        k += 1
+    return total
+
+
+@lru_cache(maxsize=None)
 def count_standard_tableaux(shape: tuple) -> int:
     """Count standard tableaux by recursing on removable corner cells."""
     if not shape:

@@ -45,10 +45,19 @@ def test_springer_pretty_carries_names(capsys):
         assert name in out
 
 
-def test_springer_bound(capsys):
-    code, _, err = run(capsys, "springer", "--d", "19")
-    assert code == 2
-    assert "bound" in err
+def test_springer_bound(capsys, monkeypatch):
+    code, _, err = run(capsys, "springer", "--d", "18", "--format", "tsv")
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("the Springer scan ran before the cost guard")
+
+    monkeypatch.setattr(partitions, "enumerate_bipartitions", refuse)
+    monkeypatch.setattr(springer, "springer_orbit", refuse)
+    for d in ("19", "1000000000"):
+        code, _, err = run(capsys, "springer", "--d", d)
+        assert code == 2
+        assert "bound" in err and "ceiling" in err
 
 
 def test_htop_json_matches_golden(capsys):

@@ -10,13 +10,16 @@ from oracles import (
     count_standard_tableaux,
     count_tableaux_with_content,
     dominance_maximal_type_c,
+    partition_number,
     partition_rule,
 )
+from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
     Bipartition,
     Partition,
     SymComposition,
     bounded_compositions,
+    check_htop_work,
     dominance_leq,
     enumerate_bipartitions,
     enumerate_partitions,
@@ -104,12 +107,23 @@ def test_dual_is_an_involution(p):
 
 
 def test_enumerate_partitions_counts_and_order():
-    counts = [len(enumerate_partitions(n)) for n in range(9)]
-    assert counts == [1, 1, 2, 3, 5, 7, 11, 15, 22]
+    counts = [len(enumerate_partitions(n)) for n in range(31)]
+    assert counts == [partition_number(n) for n in range(31)]  # Euler's recurrence
+    assert counts[:9] == [1, 1, 2, 3, 5, 7, 11, 15, 22]
     assert enumerate_partitions(2) == [(2,), (1, 1)]
     four = enumerate_partitions(4)
     assert four == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert four == sorted(four, reverse=True)
+
+
+def test_largest_admitted_rank_per_n():
+    # The work guard's frontier, which `springer --d` shares at n = 0.
+    largest = {0: 18, 1: 15, 2: 10, 3: 8, 4: 6, 5: 5, 6: 5}
+    largest |= dict.fromkeys(range(7, 11), 4) | {11: 3, 12: 3}
+    for n, d in largest.items():
+        check_htop_work(n, d)
+        with pytest.raises(CostBoundExceeded, match="ceiling"):
+            check_htop_work(n, d + 1)
 
 
 def test_enumerate_bipartitions():
