@@ -3,8 +3,8 @@
 `CostBoundExceeded` and `DEFAULT_MAX_CELLS` are read at `--help`;
 `check_cells` is shared by `geometry` and `tensor`.  Every other guard
 sits beside the engine it sizes: the work model of the Kostka engine,
-which `springer --d` shares, in `partitions`, and the character-table
-rank in `hyperoctahedral`.
+which `springer --d` shares, in `partitions`, the character-table rank
+in `hyperoctahedral`, and the rank of the projectors' group pass in `tensor`.
 """
 
 DEFAULT_MAX_CELLS = 20000

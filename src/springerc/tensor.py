@@ -33,8 +33,10 @@ from functools import lru_cache
 
 from .exact import _row_times, _sparse_rows
 from .hyperoctahedral import SignedPermutation, character_table, cycle_type, group_order, iter_group
-from .limits import check_cells
+from .limits import CostBoundExceeded, check_cells
 from .partitions import Bipartition, enumerate_bipartitions, irr_dim
+
+MAX_GROUP_PASS_RANK = 6  # the pass walks all 2^d * d! elements: 46,080 at d = 6
 
 
 @lru_cache(maxsize=None)
@@ -91,12 +93,14 @@ def _scaled_projector(
     the true projector is P = (dim/|W|) A.  The character is read at the
     class of w itself, since w^-1 has the same signed cycle type.
     Idempotence of P is verified on the integer matrix as
-    dim * A@A == |W| * A.  The cell ceiling is the one cost guard of the
-    dense path; it runs before anything is built.
+    dim * A@A == |W| * A.  Before anything is built, the cell ceiling bounds
+    the accumulator and MAX_GROUP_PASS_RANK the walk over the group.
     """
     if rho.size() != d:
         raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
     size = check_cells(n, d)
+    if d > MAX_GROUP_PASS_RANK:
+        raise CostBoundExceeded(f"group pass of rank {d} exceeds the ceiling {MAX_GROUP_PASS_RANK}")
     table = character_table(d)
     dim = irr_dim(rho)
     order = group_order(d)

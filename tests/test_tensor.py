@@ -13,6 +13,7 @@ from dense import (
     w_action_matrix,
 )
 from oracles import graded_multiplicity_by_projector, graded_multiplicity_per_label, steinberg_count
+from springerc import tensor
 from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
     SignedPermutation,
@@ -460,3 +461,25 @@ def test_cost_guard():
         iter_flag_matrices(5, 5)
     with pytest.raises(CostBoundExceeded):
         schur_weyl_decompose(5, 5)
+
+
+@pytest.mark.parametrize("n, d", [(0, 7), (1, 7), (0, 8), (1, 8)])
+def test_group_pass_refuses_ranks_the_cell_ceiling_admits(monkeypatch, n, d):
+    # at n <= 1 the cell ceiling admits d = 7 and 8, where the projector
+    # would walk 645,120 or 10,321,920 group elements per label
+    def walk(_d):
+        raise AssertionError("the group was walked")
+
+    monkeypatch.setattr(tensor, "iter_group", walk)
+    with pytest.raises(CostBoundExceeded, match="ceiling"):
+        schur_weyl_decompose(n, d)
+    with pytest.raises(CostBoundExceeded, match="ceiling"):
+        projector_rank(next(iter(enumerate_bipartitions(d))), n, d)
+
+
+def test_rank_zero_projector_is_invalid_input():
+    # a rank-0 character table is not a resource bound, so d = 0 is a ValueError
+    with pytest.raises(ValueError):
+        schur_weyl_decompose(1, 0)
+    with pytest.raises(ValueError):
+        projector_rank(bp("-|-"), 1, 0)
