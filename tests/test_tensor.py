@@ -302,6 +302,11 @@ def test_projector_rank_equals_trace():
 def test_projector_input_validation():
     with pytest.raises(ValueError):
         isotypic_projector(bp("1|-"), 2, 2)
+    # a rank-0 character table is invalid input, not a resource bound
+    with pytest.raises(ValueError):
+        schur_weyl_decompose(1, 0)
+    with pytest.raises(ValueError):
+        projector_rank(bp("-|-"), 1, 0)
     with pytest.raises(CostBoundExceeded):
         isotypic_projector(bp("3,2|-"), 5, 5)
 
@@ -475,11 +480,3 @@ def test_group_pass_refuses_ranks_the_cell_ceiling_admits(monkeypatch, n, d):
         schur_weyl_decompose(n, d)
     with pytest.raises(CostBoundExceeded, match="ceiling"):
         projector_rank(next(iter(enumerate_bipartitions(d))), n, d)
-
-
-def test_rank_zero_projector_is_invalid_input():
-    # a rank-0 character table is not a resource bound, so d = 0 is a ValueError
-    with pytest.raises(ValueError):
-        schur_weyl_decompose(1, 0)
-    with pytest.raises(ValueError):
-        projector_rank(bp("-|-"), 1, 0)
