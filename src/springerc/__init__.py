@@ -32,7 +32,7 @@ _EXPORTS = {
         "iter_group",
         "sym_group_character",
     ),
-    "limits": ("DEFAULT_MAX_CELLS", "CostBoundExceeded"),
+    "limits": ("CostBoundExceeded",),
     "partitions": (
         "Bipartition",
         "Partition",

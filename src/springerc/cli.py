@@ -26,7 +26,7 @@ import argparse
 import itertools
 import sys
 
-from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded
+from .limits import CostBoundExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -108,26 +108,16 @@ def cmd_springer(args) -> int:
     if d < 0:
         raise ValueError("--d must be nonnegative")
     check_htop_work(0, d)
-    rows = []
-    for rho in enumerate_bipartitions(d):
-        rows.append(
-            {
-                "label": str(rho),
-                "name": _character_name(rho),
-                "dim": irr_dim(rho),
-                "orbit": str(springer_orbit(rho)),
-            }
-        )
+    rows = [
+        (rho, irr_dim(rho), str(springer_orbit(rho))) for rho in enumerate_bipartitions(d)
+    ]
     if args.format == "json":
-        payload = [{"label": r["label"], "dim": r["dim"], "orbit": r["orbit"]} for r in rows]
-        _print_json(payload)
+        _print_json([{"label": str(rho), "dim": dim, "orbit": orbit} for rho, dim, orbit in rows])
     elif args.format == "tsv":
-        table = [[r["label"], str(r["dim"]), r["orbit"]] for r in rows]
+        table = [[str(rho), str(dim), orbit] for rho, dim, orbit in rows]
         sys.stdout.write(_format_table(["label", "dim", "orbit"], table, "tsv"))
     else:
-        table = [
-            [r["name"], r["label"], str(r["dim"]), r["orbit"]] for r in rows
-        ]
+        table = [[_character_name(rho), str(rho), str(dim), orbit] for rho, dim, orbit in rows]
         sys.stdout.write(_format_table(["name", "label", "dim", "orbit"], table, "pretty"))
     return EXIT_OK
 
@@ -182,9 +172,9 @@ def cmd_theta(args) -> int:
     d, big_n = args.d, 2 * args.n + 1
     # Every check runs here, before the first byte of output.
     if args.format == "tsv":
-        left, right = flag_halves(args.n, d, dcomp, args.max_cells)
+        left, right = flag_halves(args.n, d, dcomp)
     else:
-        flags = iter_flag_matrices(args.n, d, dcomp, args.max_cells)
+        flags = iter_flag_matrices(args.n, d, dcomp)
     # json and pretty fill one %-template per row, built once per command.
     chi = ",".join(["%d"] * d)
     # Few distinct gradings occur, so each is formatted once; with no right
@@ -289,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--component", help="restrict to one component, e.g. 0,0,4,0,0")
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("verify", help="run a verification suite")

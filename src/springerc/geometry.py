@@ -18,7 +18,8 @@ component's composition.  Each flag joins a left and a right half of its
 index, each built once with its mirror and its row sums (flag_halves).
 Two joins share the halves: iter_flag_matrices joins their tuples, and
 `theta`'s tsv writer their formatted strings.  A single component is the
-flags whose sums equal its entries.
+flags whose sums equal its entries.  One fixed ceiling, MAX_FLAG_CELLS,
+bounds both the number of flags and the width of a row.
 
 A component is a SymComposition, the tuple of its entries, so it is
 compared with the row sums directly.  An HtopReport is a named tuple; json
@@ -32,7 +33,7 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import add
 
-from .limits import DEFAULT_MAX_CELLS, CostBoundExceeded, check_cells
+from .limits import CostBoundExceeded
 from .partitions import (
     Partition,
     SymComposition,
@@ -46,13 +47,10 @@ from .partitions import (
 )
 from .springer import springer_image
 
+MAX_FLAG_CELLS = 20_000  # bounds the flag count N^d and the width of one flag row
 
-def iter_flag_matrices(
-    n: int,
-    d: int,
-    dcomp: SymComposition | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
-):
+
+def iter_flag_matrices(n: int, d: int, dcomp: SymComposition | None = None):
     """Iterate over the coordinate flags, optionally those of one component.
 
     A coordinate flag is a 0/1 matrix of shape N x 2d (N = 2n+1) with a
@@ -63,13 +61,13 @@ def iter_flag_matrices(
     Each flag is yielded as the tuple (columns, row_sums).
 
     The first d columns range freely over rows 1..N in ascending lex order,
-    so the full count is N^d.  The ceiling bounds both that count and the
-    width of one row (2d columns and N grading entries), so neither corner,
-    d = 0 at large n nor n = 0 at large d, gets through; a ceiling below 1
-    is invalid input.  Every check runs when this is called, before the
-    first flag is asked for; the flags are then built one at a time.
+    so the full count is N^d.  MAX_FLAG_CELLS bounds both that count and
+    the width of one row (2d columns and N grading entries), so neither
+    corner, d = 0 at large n nor n = 0 at large d, gets through.  Every
+    check runs when this is called, before the first flag is asked for; the
+    flags are then built one at a time.
     """
-    left, right = flag_halves(n, d, dcomp, max_cells)
+    left, right = flag_halves(n, d, dcomp)
     return (
         (head + tail + tail_mirror + head_mirror, sums)
         for head, head_mirror, left_sums in left
@@ -79,32 +77,29 @@ def iter_flag_matrices(
     )
 
 
-def flag_halves(
-    n: int,
-    d: int,
-    dcomp: SymComposition | None = None,
-    max_cells: int = DEFAULT_MAX_CELLS,
-):
+def flag_halves(n: int, d: int, dcomp: SymComposition | None = None):
     """(left halves, right halves) of the flags, after iter_flag_matrices' checks.
 
     A head is a left half of d - d // 2 letters and a right half of d // 2,
     each (letters, mirrored letters reversed, row sums), both in lex order.
     The left halves stream; the shorter right halves are stored, so at d = 1
-    no row sums are held twice.
+    no row sums are held twice.  The width is checked first, so N + 2d is at
+    most MAX_FLAG_CELLS and N^d costs a few milliseconds at worst.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
     if dcomp is not None and (dcomp.n != n or dcomp.total != 2 * d):
         raise ValueError(f"component {dcomp} does not match n={n}, total {2 * d}")
-    if max_cells <= 0:
-        raise ValueError(f"the ceiling must be positive, got {max_cells}")
     width = 2 * d + 2 * n + 1
-    if width > max_cells:
+    if width > MAX_FLAG_CELLS:
         raise CostBoundExceeded(
-            f"a flag row of {width} entries exceeds the ceiling {max_cells}"
+            f"a flag row of {width} entries exceeds the ceiling {MAX_FLAG_CELLS}"
         )
-    check_cells(n, d, max_cells)
     big_n = 2 * n + 1
+    if big_n**d > MAX_FLAG_CELLS:
+        raise CostBoundExceeded(
+            f"tensor space of dimension {big_n}^{d} exceeds the ceiling {MAX_FLAG_CELLS}"
+        )
     return _half_heads(big_n, d - d // 2), list(_half_heads(big_n, d // 2))
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb, factorial
 
 from .limits import CostBoundExceeded
@@ -308,10 +308,7 @@ def gl_dim(p: Partition, m: int) -> int:
     for i in range(len(p)):
         for j in range(p[i]):
             numer *= m + j - i
-    denom = 1
-    for row in hook_lengths(p):
-        for h in row:
-            denom *= h
+    denom = factorial(p.size()) // num_standard_tableaux(p)  # the product of the hooks
     if numer % denom:
         raise ArithmeticError(f"hook-content division not exact for {p}, m={m}")
     return numer // denom
@@ -351,6 +348,18 @@ def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
     return total
 
 
+def bipartition_counts():
+    """Yield the numbers of bipartitions of 0, 1, 2, ..., for the cost guards.
+
+    The partition counts are read from the enumerator the engines reuse, so
+    a guard that stops at rank r has enumerated the partitions of r at most.
+    """
+    partitions = []  # p(0), p(1), ...: numbers of partitions
+    for rank in count():
+        partitions.append(len(_partitions_desc(rank, rank)))
+        yield sum(map(int.__mul__, partitions, reversed(partitions)))
+
+
 def check_htop_work(n: int, d: int) -> None:
     """Refuse a table whose Kostka-engine work exceeds MAX_HTOP_WORK.
 
@@ -373,10 +382,7 @@ def check_htop_work(n: int, d: int) -> None:
     engine then reuses; a refused table enumerates at most the partitions
     of 19.
     """
-    partitions = []  # p(0), p(1), ...: numbers of partitions
-    for rank in range(d + 1):
-        partitions.append(len(_partitions_desc(rank, rank)))
-        bipartitions = sum(map(int.__mul__, partitions, reversed(partitions)))
+    for rank, bipartitions in zip(range(d + 1), bipartition_counts()):
         work = (2 * n + 1) * bipartitions * (comb(rank + 2 * n, 2 * n) + rank * rank)
         if work > MAX_HTOP_WORK:
             raise CostBoundExceeded(

@@ -21,9 +21,11 @@ are test oracles (tests/dense.py).
 
 What stays here is what `verify sw` runs: the integer-scaled isotypic
 projectors, validated idempotent, whose ranks, read as their traces,
-decompose the bimodule.  Multiplicities graded by flag component need no
-matrix at all: they are sums of products of Kostka numbers, built a table
-at a time by partitions.graded_multiplicities.
+decompose the bimodule.  A fixed ceiling on their modelled work,
+MAX_PROJECTOR_WORK, refuses a point before any label or group element is
+built.  Multiplicities graded by flag component need no matrix at all:
+they are sums of products of Kostka numbers, built a table at a time by
+partitions.graded_multiplicities.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from functools import lru_cache
 
 from .exact import _row_times, _sparse_rows
 from .hyperoctahedral import SignedPermutation, character_table, cycle_type, group_order, iter_group
-from .limits import CostBoundExceeded, check_cells
-from .partitions import Bipartition, enumerate_bipartitions, irr_dim
+from .limits import CostBoundExceeded
+from .partitions import Bipartition, bipartition_counts, enumerate_bipartitions, irr_dim
 
-MAX_GROUP_PASS_RANK = 6  # the pass walks all 2^d * d! elements: 46,080 at d = 6
+MAX_PROJECTOR_WORK = 10_000_000  # about 1.6 s, at 0.16 microseconds per unit
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +85,32 @@ def w_action_monomial(w: SignedPermutation, n: int, d: int) -> tuple[list[int], 
     return target, coeff
 
 
+def _check_projector_work(n: int, d: int) -> None:
+    """Refuse the projectors at (n, d) when their work exceeds MAX_PROJECTOR_WORK.
+
+    Each of the #bipartitions(d) projectors walks the 2^d * d! group
+    elements, applying each to the N^d basis tuples of d letters at a fixed
+    cost of about 100 letters per element, then fills and checks an
+    N^d x N^d accumulator.  So the work is
+
+        #bipartitions(d) * (2^d * d! * (d * N^d + 100) + N^(2d)).
+
+    Fitted at 0.16 microseconds per unit to the 20 timed decompositions
+    over 5 ms, from (1000, 1) to (0, 6), the model read 0.66 to 1.5 times
+    each one's time (Python 3.11, 2-CPU virtual machine).  The work grows
+    with d, so checking the ranks 0..d in turn stops at the first one over
+    the ceiling, and stays cheap for any d.
+    """
+    if n < 0 or d < 1:
+        raise ValueError(f"projectors need n >= 0 and d >= 1, got n={n}, d={d}")
+    for rank, labels in zip(range(d + 1), bipartition_counts()):
+        cells = (2 * n + 1) ** rank
+        if labels * (group_order(rank) * (rank * cells + 100) + cells * cells) > MAX_PROJECTOR_WORK:
+            raise CostBoundExceeded(
+                f"projector work at n={n}, d={d} exceeds the ceiling {MAX_PROJECTOR_WORK}"
+            )
+
+
 @lru_cache(maxsize=None)
 def _scaled_projector(
     rho: Bipartition, n: int, d: int
@@ -93,14 +121,12 @@ def _scaled_projector(
     the true projector is P = (dim/|W|) A.  The character is read at the
     class of w itself, since w^-1 has the same signed cycle type.
     Idempotence of P is verified on the integer matrix as
-    dim * A@A == |W| * A.  Before anything is built, the cell ceiling bounds
-    the accumulator and MAX_GROUP_PASS_RANK the walk over the group.
+    dim * A@A == |W| * A.  The cost guard runs before anything is built.
     """
     if rho.size() != d:
         raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
-    size = check_cells(n, d)
-    if d > MAX_GROUP_PASS_RANK:
-        raise CostBoundExceeded(f"group pass of rank {d} exceeds the ceiling {MAX_GROUP_PASS_RANK}")
+    _check_projector_work(n, d)
+    size = (2 * n + 1) ** d
     table = character_table(d)
     dim = irr_dim(rho)
     order = group_order(d)
@@ -143,8 +169,10 @@ def schur_weyl_decompose(n: int, d: int) -> dict[Bipartition, int]:
     """Multiplicity of each irreducible in the tensor bimodule.
 
     Each multiplicity is projector rank / irreducible dimension, an exact
-    integer equal to gl_dim(first, n+1) * gl_dim(second, n).
+    integer equal to gl_dim(first, n+1) * gl_dim(second, n).  The cost
+    guard runs before any label is enumerated.
     """
+    _check_projector_work(n, d)
     out = {}
     for rho in enumerate_bipartitions(d):
         rank = projector_rank(rho, n, d)

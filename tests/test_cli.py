@@ -162,9 +162,10 @@ def test_failed_springer_scan_is_a_self_check(capsys, monkeypatch, argv):
     assert "Traceback" not in err
 
 
-def test_htop_has_no_cell_ceiling_option(capsys):
+@pytest.mark.parametrize("command", ["htop", "theta"])
+def test_no_command_has_a_cell_ceiling_option(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["htop", "--n", "2", "--d", "2", "--max-cells", "10"])
+        main([command, "--n", "2", "--d", "2", "--max-cells", "10"])
     assert exc.value.code == 3
 
 
@@ -347,10 +348,9 @@ def test_theta_bounds_each_write_by_characters(monkeypatch):
     "argv,expected_code",
     [
         (["--n", "5", "--d", "5"], 2),
-        (["--n", "2", "--d", "3", "--max-cells", "100"], 2),
-        # A ceiling below 1 is bad input, not a bound that refuses.
-        (["--n", "1", "--d", "2", "--max-cells", "0"], 3),
-        (["--n", "1", "--d", "2", "--max-cells", "-5"], 3),
+        (["--n", "2", "--d", "7"], 2),
+        (["--n", "1", "--d", "-1"], 3),
+        (["--n", "2", "--d", "2", "--component", "0,0,x,0,0"], 3),
         (["--n", "2", "--d", "2", "--component", "1,0,1"], 3),
         (["--n", "2", "--d", "2", "--component", "1,0,2,0,2"], 3),
         (["--n", "-1", "--d", "2"], 3),
@@ -376,16 +376,13 @@ def test_theta_refuses_a_row_wider_than_the_ceiling(capsys, n, d, fmt):
 
 
 def test_theta_refuses_a_huge_power_at_once(capsys):
-    # The width check admits d = 10^8 under this ceiling; the cell count
-    # must be refused without forming 3^(10^8).
+    # The widest row the width check admits at n = 1: 2d + 3 = 19,999.
     start = time.perf_counter()
-    code, out, err = run(
-        capsys, "theta", "--n", "1", "--d", "100000000", "--max-cells", "1000000000"
-    )
+    code, out, err = run(capsys, "theta", "--n", "1", "--d", "9998")
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert "3^100000000" in err
+    assert "3^9998" in err
 
 
 def exit_cleanly(argv):
@@ -413,14 +410,11 @@ def exit_cleanly(argv):
         ),
     ),
     fmt=st.sampled_from(["tsv", "json", "pretty"]),
-    max_cells=st.one_of(st.none(), st.integers(min_value=-2, max_value=200)),
 )
-def test_theta_fuzz_exits_cleanly(n, d, component, fmt, max_cells):
+def test_theta_fuzz_exits_cleanly(n, d, component, fmt):
     argv = ["theta", f"--n={n}", f"--d={d}", f"--format={fmt}"]
     if component is not None:
         argv.append(f"--component={component}")
-    if max_cells is not None:
-        argv.append(f"--max-cells={max_cells}")
     exit_cleanly(argv)
 
 

@@ -246,6 +246,4 @@ def test_iter_flag_matrices_checks_before_the_first_matrix():
         iter_flag_matrices(5, 5, SymComposition.from_string("1,0,1"))
     with pytest.raises(ValueError):
         iter_flag_matrices(-1, 2)
-    with pytest.raises(ValueError):
-        iter_flag_matrices(0, 0, max_cells=0)
     assert next(iter_flag_matrices(2, 2)) == ((1, 1, 5, 5), (2, 0, 0, 0, 2))

@@ -307,6 +307,11 @@ def test_projector_input_validation():
         schur_weyl_decompose(1, 0)
     with pytest.raises(ValueError):
         projector_rank(bp("-|-"), 1, 0)
+    # invalid input is refused ahead of the cost guard
+    with pytest.raises(ValueError):
+        schur_weyl_decompose(10**6, 0)
+    with pytest.raises(ValueError):
+        schur_weyl_decompose(-1, 2)
     with pytest.raises(CostBoundExceeded):
         isotypic_projector(bp("3,2|-"), 5, 5)
 
@@ -468,15 +473,32 @@ def test_cost_guard():
         schur_weyl_decompose(5, 5)
 
 
-@pytest.mark.parametrize("n, d", [(0, 7), (1, 7), (0, 8), (1, 8)])
+@pytest.mark.parametrize(
+    "n, d", [(0, 7), (1, 7), (0, 8), (1, 8), (2, 4), (1, 5), (0, 6), (2, 6), (0, 10**6)]
+)
 def test_group_pass_refuses_ranks_the_cell_ceiling_admits(monkeypatch, n, d):
-    # at n <= 1 the cell ceiling admits d = 7 and 8, where the projector
-    # would walk 645,120 or 10,321,920 group elements per label
-    def walk(_d):
-        raise AssertionError("the group was walked")
+    # A ceiling of 20,000 on N^d admits each of these.  At (2, 6) one
+    # accumulator alone would hold 15,625^2 entries; at n = 0 the group
+    # pass walks 2^d * d! elements per label.  Each refusal comes before
+    # any label, character or group element is built.
+    def build(*_args):
+        raise AssertionError("the projectors were started")
 
-    monkeypatch.setattr(tensor, "iter_group", walk)
+    label = Bipartition(Partition([d]), Partition())
+    for name in ("enumerate_bipartitions", "character_table", "iter_group"):
+        monkeypatch.setattr(tensor, name, build)
     with pytest.raises(CostBoundExceeded, match="ceiling"):
         schur_weyl_decompose(n, d)
     with pytest.raises(CostBoundExceeded, match="ceiling"):
-        projector_rank(next(iter(enumerate_bipartitions(d))), n, d)
+        projector_rank(label, n, d)
+
+
+def test_largest_admitted_projector_per_rank():
+    # The frontier of the projector work model; each point took under 2 s.
+    largest = {1: 1117, 2: 18, 3: 4, 4: 1}
+    for d in range(1, 7):
+        n = largest.get(d, -1)
+        if n >= 0:
+            tensor._check_projector_work(n, d)
+        with pytest.raises(CostBoundExceeded):
+            tensor._check_projector_work(n + 1, d)
