@@ -11,7 +11,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded,
 3 invalid input (a malformed command line included), 4 internal self-check
-failed (a bug, never the input's fault).  All output is deterministic.
+failed (a bug, never the input's fault), 141 the reader closed stdout early
+(128 + SIGPIPE, as a shell reports it).  All output is deterministic.
 
 Each process runs one command, so each command imports the modules it
 needs when it runs: ``--help`` loads no engine, and ``htop``, ``springer``
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 
 from .limits import CostBoundExceeded
@@ -33,6 +35,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_RESOURCE = 2
 EXIT_BAD_INPUT = 3
 EXIT_SELF_CHECK = 4
+EXIT_BROKEN_PIPE = 141
 
 WRITE_BLOCK = 1024  # at most this many rows (or JSON tokens) per stdout write
 WRITE_CHARS = 1 << 16  # a block closes once it holds this many characters
@@ -296,7 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except CostBoundExceeded as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

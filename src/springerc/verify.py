@@ -284,8 +284,8 @@ SUITES = {
 def run_suite(name: str) -> list[CheckResult]:
     if name == "all":
         out = []
-        for key in ("sw", "springer", "geometry", "characters"):
-            out.extend(SUITES[key]())
+        for suite in SUITES.values():
+            out.extend(suite())
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")

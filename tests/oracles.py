@@ -318,6 +318,33 @@ def steinberg_count(rows: tuple, cols: tuple) -> int:
     return count
 
 
+def steinberg_count_dp(rows: tuple, cols: tuple) -> int:
+    """steinberg_count for mirror-symmetric rows and cols, by dynamic programming.
+
+    Top row i and its mirror row N-1-i add a[i][j] + a[i][N-1-j] to both
+    columns j and N-1-j, so after each top row the state is the remaining
+    need of columns 0..N//2, with the number of ways to reach it.  The
+    middle row is then forced: it is that need read as a palindrome, so the
+    need must be nonnegative, its centre even and its row sum rows[N//2].
+    """
+    big_n = len(rows)
+    half = big_n // 2
+    ways = {tuple(cols[: half + 1]): 1}
+    for total in rows[:half]:
+        step = Counter()
+        for need, count in ways.items():
+            for row in _compositions(total, big_n):
+                rest = tuple(need[j] - row[j] - row[big_n - 1 - j] for j in range(half + 1))
+                if min(rest) >= 0:
+                    step[rest] += count
+        ways = step
+    return sum(
+        count
+        for need, count in ways.items()
+        if need[half] % 2 == 0 and 2 * sum(need[:half]) + need[half] == rows[half]
+    )
+
+
 def _n_statistic(parts) -> int:
     """n(lambda): the sum of (row index) * (row length), rows counted from 0."""
     return sum(i * part for i, part in enumerate(parts))

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -17,6 +18,7 @@ from springerc.cli import main
 from springerc.partitions import Partition, enumerate_bipartitions
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *args):
@@ -383,6 +385,24 @@ def test_theta_refuses_a_huge_power_at_once(capsys):
     assert code == 2
     assert out == ""
     assert "3^9998" in err
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "pretty", "json"])
+def test_a_reader_that_stops_early_gets_exit_141(fmt):
+    # As `springerc theta ... | head -1`: the pipe closes after one line,
+    # while the writer still has most of 16,807 rows to write.
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "springerc", "theta", "--n", "3", "--d", "5", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 def exit_cleanly(argv):

@@ -110,6 +110,7 @@ def test_htop_report_main_orbit():
     assert report.degrees[Q54["1,1,0,1,1"]] == 4
     assert report.degrees[Q54["0,1,2,1,0"]] == 2
     assert report.degrees[Q54["0,0,4,0,0"]] is None
+    assert report.degrees.keys() == report.per_component.keys()
 
 
 def test_htop_totals_all_orbits():

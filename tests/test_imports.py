@@ -5,14 +5,14 @@ keeps start-up short.  The probe records the modules loaded after the
 interpreter started, so whatever the site set-up imports does not count.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-
-import springerc
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -120,19 +120,15 @@ def test_verify_all_loads_no_fractions():
     assert "fractions" not in loaded
 
 
-def test_public_names_resolve():
-    for name in springerc.__all__:
-        assert getattr(springerc, name) is not None, name
-    with pytest.raises(AttributeError):
-        springerc.no_such_name
-
-
 def test_readme_example():
-    from springerc import Partition, htop_table
-
-    report = htop_table(2, 2, Partition([2, 1, 1]))[0]
-    assert report.total == 3
-    assert report.degrees.keys() == report.per_component.keys()
+    # Runs the python block under "## Library example" in README.md, so the
+    # example and its test cannot drift apart.
+    section = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines()[0] == "3"
 
 
 @pytest.mark.parametrize("suite", ["springer", "sw"])

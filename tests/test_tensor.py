@@ -12,7 +12,12 @@ from dense import (
     tensor_grading,
     w_action_matrix,
 )
-from oracles import graded_multiplicity_by_projector, graded_multiplicity_per_label, steinberg_count
+from oracles import (
+    graded_multiplicity_by_projector,
+    graded_multiplicity_per_label,
+    steinberg_count,
+    steinberg_count_dp,
+)
 from springerc import tensor
 from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
@@ -395,16 +400,24 @@ def test_table_matches_the_per_label_engine(n, d):
         assert sum(per_weight.values()) == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
 
 
-@pytest.mark.parametrize("n,d", [(0, 3), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+BRUTE_FORCE_STEINBERG = [(0, 3), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n,d", BRUTE_FORCE_STEINBERG + [(2, 5), (1, 7), (2, 6)])
 def test_table_gram_matrix_counts_double_cosets(n, d):
     # The Steinberg-variety piece over a pair of components has dimension
     # |W_D \ W / W_D'|, which the Gram matrix of the table must reproduce.
+    # The dynamic-programming count is checked against the brute-force one
+    # where that is cheap, and carries the check to the larger points.
     table = graded_multiplicities(n, d, enumerate_bipartitions(d))
     components = enumerate_sym_compositions(n, 2 * d)
     for row in components:
         for col in components:
+            count = steinberg_count_dp(row, col)
+            if (n, d) in BRUTE_FORCE_STEINBERG:
+                assert count == steinberg_count(row, col), (row, col)
             gram = sum(per_weight[row] * per_weight[col] for per_weight in table.values())
-            assert gram == steinberg_count(row, col), (row, col)
+            assert gram == count, (row, col)
 
 
 def test_table_computes_only_the_requested_labels():
