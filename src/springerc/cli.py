@@ -15,10 +15,11 @@ failed (a bug, never the input's fault), 141 the reader closed stdout early
 (128 + SIGPIPE, as a shell reports it).  All output is deterministic.
 
 Each process runs one command, so each command imports the modules it
-needs when it runs: ``--help`` loads no engine, and ``htop``, ``springer``
-and ``theta`` never load the tensor, group or exact-matrix code.  ``theta``
-writes its rows as the flag matrices are built, so its tsv and pretty
-tables take constant memory.
+needs when it runs: ``--help`` loads no engine; ``htop``, ``springer`` and
+``theta`` never load the tensor, group or exact-matrix code; and ``theta``,
+whose table `theta.write_table` writes, loads neither the Kostka engine
+nor the Springer map.  No command writes its output a line at a time (see
+_write_blocks).
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _degree(report, dcomp) -> str:
 
 def cmd_htop(args) -> int:
     from .geometry import htop_table, orbit_dim
-    from .partitions import Partition
+    from .labels import Partition
 
     orbit = None if args.orbit is None else Partition.from_string(args.orbit)
     reports = htop_table(args.n, args.d, orbit)
@@ -148,94 +149,33 @@ def cmd_htop(args) -> int:
         ]
         sys.stdout.write(_format_table(header, rows, "tsv"))
         return EXIT_OK
-    for r in reports:
-        print(f"orbit {r.orbit}  (dim {orbit_dim(r.orbit)})")
-        if r.contributing:
-            for rho, dual, dim in r.contributing:
-                print(f"  from {rho}  (dual {dual}, dim {dim})")
-        else:
-            print("  no contributing labels")
-        rows = [
-            [str(dcomp), _degree(r, dcomp), str(mult)] for dcomp, mult in r.per_component.items()
-        ]
-        block = _format_table(["component", "degree", "htop"], rows, "pretty")
-        sys.stdout.write("  " + block.replace("\n", "\n  ").rstrip() + "\n")
-        print(f"  total {r.total}")
+
+    def pretty():
+        for r in reports:
+            yield f"orbit {r.orbit}  (dim {orbit_dim(r.orbit)})\n"
+            if r.contributing:
+                for rho, dual, dim in r.contributing:
+                    yield f"  from {rho}  (dual {dual}, dim {dim})\n"
+            else:
+                yield "  no contributing labels\n"
+            rows = [
+                [str(dcomp), _degree(r, dcomp), str(mult)]
+                for dcomp, mult in r.per_component.items()
+            ]
+            block = _format_table(["component", "degree", "htop"], rows, "pretty")
+            yield "  " + block.replace("\n", "\n  ").rstrip() + "\n"
+            yield f"  total {r.total}\n"
+
+    _write_blocks(pretty())
     return EXIT_OK
 
 
 def cmd_theta(args) -> int:
-    from functools import lru_cache
-    from operator import add
-
-    from .geometry import flag_halves, iter_flag_matrices
-    from .partitions import SymComposition
+    from .labels import SymComposition
+    from .theta import write_table
 
     dcomp = None if args.component is None else SymComposition.from_string(args.component)
-    d, big_n = args.d, 2 * args.n + 1
-    # Every check runs here, before the first byte of output.
-    if args.format == "tsv":
-        left, right = flag_halves(args.n, d, dcomp)
-    else:
-        flags = iter_flag_matrices(args.n, d, dcomp)
-    # json and pretty fill one %-template per row, built once per command.
-    chi = ",".join(["%d"] * d)
-    # Few distinct gradings occur, so each is formatted once; with no right
-    # half (d <= 1) every flag has its own, so none is kept.
-    cached = lru_cache(maxsize=None if d > 1 else 0)
-    frame = "\t%s\n" if args.format == "tsv" else "%s"  # a tsv grading ends its row
-
-    @cached
-    def grading(sums) -> str:
-        return frame % ",".join(map(str, sums))
-
-    if args.format == "json":
-        matrices = [
-            {"columns": list(cols), "chi": chi % cols[:d], "grading": grading(sums)}
-            for cols, sums in flags
-        ]
-        _print_json({"count": len(matrices), "matrices": matrices})
-        return EXIT_OK
-
-    def tsv():
-        # A row is head + middle + head_mirror + tab + head + chi_tail +
-        # grading; each right half has its middle and chi_tail.
-        pieces = []
-        for tail, mirror, _ in right:
-            middle = ",".join(["", *map(str, tail + mirror), ""]) if d else ""
-            pieces.append((middle, "".join(f",{v}" for v in tail)))
-
-        @cached
-        def row_gradings(left_sums):
-            # None marks a right half whose sum with left_sums is not the component.
-            sums = [tuple(map(add, left_sums, right_sums)) for _, _, right_sums in right]
-            return [grading(s) if dcomp is None or s == dcomp else None for s in sums]
-
-        yield "columns\tchi\tgrading\n"
-        count = 0
-        for head, head_mirror, left_sums in left:
-            text = ",".join(map(str, head))
-            after = ",".join(map(str, head_mirror)) + "\t" + text
-            for (middle, chi_tail), ending in zip(pieces, row_gradings(left_sums)):
-                if ending is not None:
-                    count += 1
-                    yield text + middle + after + chi_tail + ending
-        yield f"count\t{count}\t\n"
-
-    def pretty():
-        # The grid has N lines of 2d cells; column j's 1 sits in line cols[j].
-        header = "matrix %d: chi " + chi + "  grading %s\n"
-        grid = ("  " + " ".join(["%s"] * 2 * d) + "\n") * big_n
-        zeros = ["0"] * (big_n * 2 * d)
-        count = 0
-        for count, (cols, sums) in enumerate(flags, 1):
-            cells = zeros.copy()
-            for j, r in enumerate(cols):
-                cells[(r - 1) * 2 * d + j] = "1"
-            yield header % (count, *cols[:d], grading(sums)) + grid % tuple(cells)
-        yield f"count {count}\n"
-
-    _write_blocks(tsv() if args.format == "tsv" else pretty())
+    write_table(args.n, args.d, dcomp, args.format)
     return EXIT_OK
 
 
@@ -243,10 +183,9 @@ def cmd_verify(args) -> int:
     from .verify import run_suite
 
     results = run_suite(args.suite)
-    for res in results:
-        print(res.line())
     failed = [r for r in results if not r.ok]
-    print(f"{len(results) - len(failed)}/{len(results)} checks passed")
+    summary = f"{len(results) - len(failed)}/{len(results)} checks passed\n"
+    _write_blocks([*(res.line() + "\n" for res in results), summary])
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
@@ -256,6 +195,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and isinstance(value, list):
+            # `--d=--`: argparse drops the "--" and would pass on an empty list.
+            raise argparse.ArgumentError(action, "expected one argument")
+        return value
 
 
 def build_parser() -> argparse.ArgumentParser:

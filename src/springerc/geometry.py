@@ -12,31 +12,19 @@ dimension of that group, orbit by orbit and component by component, comes
 from the graded isotypic multiplicities of the dual bipartitions in the
 tensor bimodule.
 
-Each component holds coordinate flags, 0/1 matrices whose first d columns
-form a monomial basis index of the tensor space and whose row sums are the
-component's composition.  Each flag joins a left and a right half of its
-index, each built once with its mirror and its row sums (flag_halves).
-Two joins share the halves: iter_flag_matrices joins their tuples, and
-`theta`'s tsv writer their formatted strings.  A single component is the
-flags whose sums equal its entries.  One fixed ceiling, MAX_FLAG_CELLS,
-bounds both the number of flags and the width of a row.
-
-A component is a SymComposition, the tuple of its entries, so it is
-compared with the row sums directly.  An HtopReport is a named tuple; json
-would write it as an array, so the CLI writes it through to_json_dict.
+A component is a SymComposition, the tuple of its entries; its coordinate
+flags, which `theta` lists, are built in `theta`.  An HtopReport is a named
+tuple; json would write it as an array, so the CLI writes it through
+to_json_dict.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import namedtuple
 from functools import lru_cache
-from operator import add
 
-from .limits import CostBoundExceeded
+from .labels import Partition, SymComposition
 from .partitions import (
-    Partition,
-    SymComposition,
     check_htop_work,
     dominance_leq,
     enumerate_sym_compositions,
@@ -46,71 +34,6 @@ from .partitions import (
     type_c_collapse,
 )
 from .springer import springer_image
-
-MAX_FLAG_CELLS = 20_000  # bounds the flag count N^d and the width of one flag row
-
-
-def iter_flag_matrices(n: int, d: int, dcomp: SymComposition | None = None):
-    """Iterate over the coordinate flags, optionally those of one component.
-
-    A coordinate flag is a 0/1 matrix of shape N x 2d (N = 2n+1) with a
-    single 1 in each column, in row columns[j-1] of column j.  It is
-    centro-symmetric, a[i][j] = a[N+1-i][2d+1-j], so the first d columns,
-    the monomial basis index of the tensor space, determine the rest.  Row
-    i sums to row_sums[i-1]; these sums are the entries of its component.
-    Each flag is yielded as the tuple (columns, row_sums).
-
-    The first d columns range freely over rows 1..N in ascending lex order,
-    so the full count is N^d.  MAX_FLAG_CELLS bounds both that count and
-    the width of one row (2d columns and N grading entries), so neither
-    corner, d = 0 at large n nor n = 0 at large d, gets through.  Every
-    check runs when this is called, before the first flag is asked for; the
-    flags are then built one at a time.
-    """
-    left, right = flag_halves(n, d, dcomp)
-    return (
-        (head + tail + tail_mirror + head_mirror, sums)
-        for head, head_mirror, left_sums in left
-        for tail, tail_mirror, right_sums in right
-        for sums in [tuple(map(add, left_sums, right_sums))]
-        if dcomp is None or sums == dcomp
-    )
-
-
-def flag_halves(n: int, d: int, dcomp: SymComposition | None = None):
-    """(left halves, right halves) of the flags, after iter_flag_matrices' checks.
-
-    A head is a left half of d - d // 2 letters and a right half of d // 2,
-    each (letters, mirrored letters reversed, row sums), both in lex order.
-    The left halves stream; the shorter right halves are stored, so at d = 1
-    no row sums are held twice.  The width is checked first, so N + 2d is at
-    most MAX_FLAG_CELLS and N^d costs a few milliseconds at worst.
-    """
-    if n < 0 or d < 0:
-        raise ValueError("n and d must be nonnegative")
-    if dcomp is not None and (dcomp.n != n or dcomp.total != 2 * d):
-        raise ValueError(f"component {dcomp} does not match n={n}, total {2 * d}")
-    width = 2 * d + 2 * n + 1
-    if width > MAX_FLAG_CELLS:
-        raise CostBoundExceeded(
-            f"a flag row of {width} entries exceeds the ceiling {MAX_FLAG_CELLS}"
-        )
-    big_n = 2 * n + 1
-    if big_n**d > MAX_FLAG_CELLS:
-        raise CostBoundExceeded(
-            f"tensor space of dimension {big_n}^{d} exceeds the ceiling {MAX_FLAG_CELLS}"
-        )
-    return _half_heads(big_n, d - d // 2), list(_half_heads(big_n, d // 2))
-
-
-def _half_heads(big_n: int, length: int):
-    """(letters, mirrored letters reversed, row sums) for each word of that length, in lex order."""
-    for letters in itertools.product(range(1, big_n + 1), repeat=length):
-        counts = [0] * big_n
-        for v in letters:
-            counts[v - 1] += 1
-            counts[big_n - v] += 1
-        yield letters, tuple(big_n + 1 - v for v in reversed(letters)), tuple(counts)
 
 
 def orbit_dim(a: Partition) -> int:

@@ -36,7 +36,8 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .limits import CostBoundExceeded
-from .partitions import Bipartition, Partition, enumerate_bipartitions
+from .labels import Bipartition, Partition, integers
+from .partitions import enumerate_bipartitions
 
 MAX_CHARACTER_TABLE_RANK = 8  # from cycles, character_table(9) takes about 1.5 s
 
@@ -47,8 +48,8 @@ class SignedPermutation(namedtuple("SignedPermutation", "images signs")):
     __slots__ = ()
 
     def __new__(cls, images, signs):
-        images = tuple(int(x) for x in images)
-        signs = tuple(int(x) for x in signs)
+        images = integers(images, "image")
+        signs = integers(signs, "sign")
         d = len(images)
         if sorted(images) != list(range(1, d + 1)):
             raise ValueError(f"not a permutation of 1..{d}: {images}")

@@ -10,7 +10,7 @@ isotypic multiplicity of the bipartition (mu, nu) equals
 gl_dim(mu, n+1) * gl_dim(nu, n), and it is frozen by the golden
 per-component tables.
 
-The coordinate-flag model (geometry.iter_flag_matrices) carries another
+The coordinate-flag model (theta.iter_flag_matrices) carries another
 action, a pure permutation of basis vectors in which the flip at slot k
 replaces i_k by N+1-i_k (`_apply_swap`); `verify sw` counts its fixed
 points.  The two actions are NOT conjugate: a single-factor swap flip has
@@ -36,7 +36,8 @@ from functools import lru_cache
 from .exact import _row_times, _sparse_rows
 from .hyperoctahedral import SignedPermutation, character_table, cycle_type, group_order, iter_group
 from .limits import CostBoundExceeded
-from .partitions import Bipartition, bipartition_counts, enumerate_bipartitions, irr_dim
+from .labels import Bipartition
+from .partitions import bipartition_counts, enumerate_bipartitions, irr_dim
 
 MAX_PROJECTOR_WORK = 10_000_000  # about 1.6 s, at 0.16 microseconds per unit
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from . import geometry, hyperoctahedral as ho, springer, tensor
+from . import geometry, hyperoctahedral as ho, springer, tensor, theta
 from .exact import _row_times, _sparse_rows
+from .labels import Bipartition, Partition
 from .partitions import (
-    Bipartition,
-    Partition,
     enumerate_bipartitions,
     enumerate_sym_compositions,
     enumerate_type_c,
@@ -225,7 +224,7 @@ def suite_schur_weyl() -> list[CheckResult]:
         for rho, per_weight in graded_multiplicities(2, 2, enumerate_bipartitions(2)).items()
     )
     out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
-    flags = list(geometry.iter_flag_matrices(2, 2))
+    flags = list(theta.iter_flag_matrices(2, 2))
     images = {cols[:2] for cols, _ in flags}
     out.append(
         _check(
@@ -237,7 +236,7 @@ def suite_schur_weyl() -> list[CheckResult]:
     fixed_ok = True
     for dcomp in enumerate_sym_compositions(2, 4):
         char = ho.coset_permutation_character(dcomp)
-        block = [cols[:2] for cols, _ in geometry.iter_flag_matrices(2, 2, dcomp)]
+        block = [cols[:2] for cols, _ in theta.iter_flag_matrices(2, 2, dcomp)]
         for cls, expected in char.items():
             w = ho.class_representative(cls)
             fixed = sum(

@@ -22,7 +22,8 @@ from springerc.hyperoctahedral import (
     group_order,
     iter_group,
 )
-from springerc.partitions import Bipartition, SymComposition, irr_dim
+from springerc.labels import Bipartition, SymComposition
+from springerc.partitions import irr_dim
 from springerc.tensor import (
     _apply_swap,
     _scaled_projector,

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from springerc.partitions import Bipartition, Partition
+from springerc.labels import Bipartition, Partition
 
 
 @lru_cache(maxsize=None)

@@ -23,7 +23,6 @@ from springerc.geometry import (
     component_nonempty,
     flag_dim,
     htop_table,
-    iter_flag_matrices,
     orbit_dim,
     richardson,
 )
@@ -33,8 +32,8 @@ from springerc.hyperoctahedral import (
     coset_permutation_character,
     iter_group,
 )
+from springerc.labels import Partition
 from springerc.partitions import (
-    Partition,
     enumerate_bipartitions,
     enumerate_sym_compositions,
     enumerate_type_c,
@@ -43,6 +42,7 @@ from springerc.partitions import (
 )
 from springerc.springer import springer_orbit
 from springerc.tensor import _apply_swap, schur_weyl_decompose, tensor_basis
+from springerc.theta import iter_flag_matrices
 
 GOLDEN = Path(__file__).parent / "golden"
 

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import theta_table
 from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor
 from springerc.cli import main
-from springerc.partitions import Partition, enumerate_bipartitions
+from springerc.labels import Partition
+from springerc.partitions import enumerate_bipartitions
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -181,6 +182,10 @@ def test_no_command_has_a_cell_ceiling_option(capsys, command):
         ([], 3),
         (["--help"], 0),
         (["theta", "--help"], 0),
+        # argparse drops a "--" value and would pass an empty list on.
+        (["springer", "--d=--"], 3),
+        (["htop", "--n", "1", "--d", "2", "--orbit=--"], 3),
+        (["theta", "--n", "1", "--d", "1", "--format=--"], 3),
     ],
 )
 def test_usage_errors_are_invalid_input(capsys, argv, expected_code):
@@ -297,7 +302,7 @@ class RecordingStdout:
 
 def test_theta_streams_in_constant_memory(monkeypatch):
     # Building all 16,807 rows before writing any takes about 12.8 MB.
-    import springerc.geometry  # noqa: F401  (import cost is not the table's)
+    import springerc.theta  # noqa: F401  (import cost is not the table's)
 
     with open(os.devnull, "w") as sink:
         monkeypatch.setattr(sys, "stdout", sink)
@@ -312,7 +317,7 @@ def test_theta_streams_in_constant_memory(monkeypatch):
 
 
 def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
-    from springerc.partitions import SymComposition
+    from springerc.labels import SymComposition
 
     checked = []
     real_new = SymComposition.__new__
@@ -343,6 +348,22 @@ def test_theta_bounds_each_write_by_characters(monkeypatch):
     widest = max(map(len, rows))
     assert len(sink.writes) > 1
     assert max(map(len, sink.writes)) <= cli.WRITE_CHARS + widest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["htop", "--n", "0", "--d", "12"], ["htop", "--n", "2", "--d", "3"], ["verify", "all"]],
+)
+def test_htop_pretty_and_verify_write_blocks(monkeypatch, argv):
+    # Under PYTHONUNBUFFERED every write is a system call, so not one per line.
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(argv) == 0
+    text = "".join(sink.writes)
+    lines = text.count("\n")
+    assert lines > 40 and text.endswith("\n")
+    # Every write but the last holds WRITE_BLOCK lines or WRITE_CHARS characters.
+    assert len(sink.writes) <= lines // cli.WRITE_BLOCK + len(text) // cli.WRITE_CHARS + 1
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])

@@ -7,19 +7,14 @@ from springerc.geometry import (
     component_nonempty,
     flag_dim,
     htop_table,
-    iter_flag_matrices,
     orbit_dim,
     richardson,
     top_degree,
 )
+from springerc.labels import Partition, SymComposition
 from springerc.limits import CostBoundExceeded
-from springerc.partitions import (
-    Partition,
-    SymComposition,
-    enumerate_sym_compositions,
-    enumerate_type_c,
-    gl_dim,
-)
+from springerc.partitions import enumerate_sym_compositions, enumerate_type_c, gl_dim
+from springerc.theta import iter_flag_matrices
 
 Q54 = {str(c): c for c in enumerate_sym_compositions(2, 4)}
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from dense import generators
 from oracles import block_cycle_types, character_value_by_cosets, coset_character_by_group
 from springerc import hyperoctahedral
-from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
     MAX_CHARACTER_TABLE_RANK,
     SignedPermutation,
@@ -23,17 +22,16 @@ from springerc.hyperoctahedral import (
     iter_group,
     sym_group_character,
 )
+from springerc.labels import Bipartition, Partition, SymComposition
 from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
-    Bipartition,
-    Partition,
-    SymComposition,
     enumerate_bipartitions,
     enumerate_partitions,
     enumerate_sym_compositions,
     irr_dim,
     num_standard_tableaux,
 )
+from springerc.theta import iter_flag_matrices
 
 
 @st.composite
@@ -89,6 +87,23 @@ def test_group_laws(triple):
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         SignedPermutation.identity(2) * SignedPermutation.identity(3)
+
+
+def test_signed_permutation_validation():
+    assert SignedPermutation(range(2, 0, -1), [-1, 1]) == ((2, 1), (-1, 1))
+    # Non-integral images and signs are refused, not truncated to (2, 1), (-1, 1).
+    with pytest.raises(ValueError, match="non-integral image 2.5"):
+        SignedPermutation([2.5, 1], [1, 1])
+    with pytest.raises(ValueError, match="non-integral image 2.0"):
+        SignedPermutation([2.0, 1], [1, 1])
+    with pytest.raises(ValueError, match="non-integral sign -1.5"):
+        SignedPermutation([2, 1], [-1.5, 1])
+    with pytest.raises(ValueError, match="not a permutation"):
+        SignedPermutation([1, 1], [1, 1])
+    with pytest.raises(ValueError, match="signs"):
+        SignedPermutation([1, 2], [1, 0])
+    with pytest.raises(ValueError, match="signs"):
+        SignedPermutation([1, 2], [1])
 
 
 def test_cycle_type_examples():

@@ -64,9 +64,56 @@ def test_package_import_loads_no_submodule():
     assert own(loaded) == {"springerc"}
 
 
+def readme_import_table():
+    """{command: modules} from the table under "Each command imports only the modules it runs"."""
+    section = (ROOT / "README.md").read_text().split("Each command imports only the modules it runs", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("|"))
+    rows = {}
+    for line in table.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            modules = cells[1].replace("`", "").split(", ")
+            rows[cells[0].strip("`")] = set() if modules == ["nothing"] else set(modules)
+    return rows
+
+
+BASE = {"springerc", "springerc.cli", "springerc.limits"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("htop", "--n", "2", "--d", "2", "--format", "json"),
+        ("springer", "--d", "4"),
+        ("theta", "--n", "2", "--d", "2", "--format", "tsv"),
+        ("theta", "--n", "1", "--d", "2", "--component", "1,2,1", "--format", "json"),
+        ("theta", "--n", "1", "--d", "2", "--format", "pretty"),
+        ("verify", "all"),
+    ],
+)
+def test_each_command_loads_its_readme_row(argv):
+    row = readme_import_table()[argv[0]]
+    loaded, _ = run_fresh(*argv)
+    assert own(loaded) == BASE | {f"springerc.{name}" for name in row}
+
+
+def test_readme_import_table_has_every_command():
+    assert set(readme_import_table()) == {"--help", "springer", "htop", "theta", "verify"}
+
+
+@pytest.mark.parametrize("module", ["springerc.theta", "springerc.labels"])
+def test_library_modules_load_no_command_line_code(module):
+    proc = fresh("-c", f"import sys; import {module}; print(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert module in loaded
+    assert loaded.isdisjoint({"springerc.cli", "argparse"})
+
+
 def test_help_loads_only_the_parser():
     loaded, _ = run_fresh("--help")
-    assert own(loaded) == {"springerc", "springerc.cli", "springerc.limits"}
+    assert readme_import_table()["--help"] == set()
+    assert own(loaded) == BASE
 
 
 @pytest.mark.parametrize(

@@ -13,11 +13,9 @@ from oracles import (
     partition_number,
     partition_rule,
 )
+from springerc.labels import Bipartition, Partition, SymComposition
 from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
-    Bipartition,
-    Partition,
-    SymComposition,
     bounded_compositions,
     check_htop_work,
     dominance_leq,
@@ -57,6 +55,13 @@ def test_partition_normalizes_and_validates():
         Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+    # A float part is refused, not truncated to (2, 1).
+    with pytest.raises(ValueError, match="non-integral part 2.7"):
+        Partition([2.7, 1])
+    with pytest.raises(ValueError, match="non-integral part 0.5"):
+        Partition([1, 0.5])
+    with pytest.raises(ValueError, match="non-integral part 2.0"):
+        Partition((2.0, 1))
 
 
 small_ints = st.lists(st.integers(min_value=-2, max_value=6), max_size=8)
@@ -183,6 +188,13 @@ def test_sym_composition_validation():
         SymComposition((1, 0, 1, 0, 1))  # odd total
     with pytest.raises(ValueError):
         SymComposition((1, 0, 0, 1, 2))  # not symmetric
+    # Truncated, these would pass as (1, 0, 1), though their total is odd.
+    with pytest.raises(ValueError, match="non-integral entry 1.5"):
+        SymComposition([1.5, 0, 1.5])
+    with pytest.raises(ValueError, match="non-integral entry 1.5"):
+        SymComposition((1, 1.5, 1))
+    with pytest.raises(ValueError, match="non-integral entry '1'"):
+        SymComposition(["1", 0, 1])
     c = SymComposition.from_string("1,1,0,1,1")
     assert c.n == 2 and c.total == 4
     # symmetry + even total force an even middle entry

@@ -2,13 +2,8 @@ import pytest
 from oracles import b_invariant, springer_fiber_dim, symbol_label
 
 from springerc.geometry import orbit_dim
-from springerc.partitions import (
-    Bipartition,
-    Partition,
-    enumerate_bipartitions,
-    enumerate_type_c,
-    is_type_c,
-)
+from springerc.labels import Bipartition, Partition
+from springerc.partitions import enumerate_bipartitions, enumerate_type_c, is_type_c
 from springerc.springer import (
     interleave_bipartition,
     springer_image,

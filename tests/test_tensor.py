@@ -19,7 +19,6 @@ from oracles import (
     steinberg_count_dp,
 )
 from springerc import tensor
-from springerc.geometry import iter_flag_matrices
 from springerc.hyperoctahedral import (
     SignedPermutation,
     character_table,
@@ -29,11 +28,9 @@ from springerc.hyperoctahedral import (
     decompose_character,
     iter_group,
 )
+from springerc.labels import Bipartition, Partition, SymComposition
 from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
-    Bipartition,
-    Partition,
-    SymComposition,
     enumerate_bipartitions,
     enumerate_sym_compositions,
     gl_dim,
@@ -48,6 +45,7 @@ from springerc.tensor import (
     schur_weyl_decompose,
     tensor_basis,
 )
+from springerc.theta import iter_flag_matrices
 
 
 def bp(text):
