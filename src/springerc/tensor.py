@@ -19,8 +19,9 @@ conjugates the swap action into the sign action twisted by the flip
 character; it, the swap projectors and the commuting Lie-algebra actions
 are test oracles (tests/dense.py).
 
-What stays here is what `verify sw` runs: the integer-scaled isotypic
-projectors, validated idempotent, whose ranks, read as their traces,
+What stays here is what `verify sw` runs: scaled_projectors(n, d), every
+integer-scaled isotypic projector of (n, d) built from one cached walk of
+the group and validated idempotent, whose ranks, read as their traces,
 decompose the bimodule.  A fixed ceiling on their modelled work,
 MAX_PROJECTOR_WORK, refuses a point before any label or group element is
 built.  Multiplicities graded by flag component need no matrix at all:
@@ -89,18 +90,19 @@ def w_action_monomial(w: SignedPermutation, n: int, d: int) -> tuple[list[int], 
 def _check_projector_work(n: int, d: int) -> None:
     """Refuse the projectors at (n, d) when their work exceeds MAX_PROJECTOR_WORK.
 
-    Each of the #bipartitions(d) projectors walks the 2^d * d! group
-    elements, applying each to the N^d basis tuples of d letters at a fixed
-    cost of about 100 letters per element, then fills and checks an
-    N^d x N^d accumulator.  So the work is
+    The model, fitted at 0.16 microseconds per unit when each projector
+    walked the group itself, charges each of the #bipartitions(d) labels a
+    walk of the 2^d * d! elements over the N^d basis tuples of d letters
+    (plus about 100 letters per element) and an N^d x N^d accumulator:
 
         #bipartitions(d) * (2^d * d! * (d * N^d + 100) + N^(2d)).
 
-    Fitted at 0.16 microseconds per unit to the 20 timed decompositions
-    over 5 ms, from (1000, 1) to (0, 6), the model read 0.66 to 1.5 times
-    each one's time (Python 3.11, 2-CPU virtual machine).  The work grows
-    with d, so checking the ranks 0..d in turn stops at the first one over
-    the ceiling, and stays cheap for any d.
+    scaled_projectors walks once for all labels, so the model bounds it
+    from above: at the largest admitted point of each rank, (1117, 1),
+    (18, 2), (4, 3) and (1, 4), the fastest of 3 fresh processes took 1.5,
+    1.3, 0.74 and 0.09 s (Python 3.11, 2-CPU virtual machine).  The work
+    grows with d, so checking the ranks 0..d in turn stops at the first one
+    over the ceiling, and stays cheap for any d.
     """
     if n < 0 or d < 1:
         raise ValueError(f"projectors need n >= 0 and d >= 1, got n={n}, d={d}")
@@ -113,34 +115,38 @@ def _check_projector_work(n: int, d: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _scaled_projector(
-    rho: Bipartition, n: int, d: int
-) -> tuple[tuple[tuple[int, ...], ...], int, int]:
-    """Integer-scaled isotypic projector: returns (|W| * P / dim, dim, |W|).
+def scaled_projectors(n: int, d: int) -> tuple[tuple[Bipartition, tuple, int], ...]:
+    """Every integer-scaled isotypic projector at (n, d), from one walk of W.
 
-    The accumulator A = sum_w chi_rho(w^-1) action(w) has integer entries;
-    the true projector is P = (dim/|W|) A.  The character is read at the
-    class of w itself, since w^-1 has the same signed cycle type.
-    Idempotence of P is verified on the integer matrix as
-    dim * A@A == |W| * A.  The cost guard runs before anything is built.
+    Returns (rho, A, dim) for each label in enumeration order, where
+    A = |W| * P / dim = sum_w chi_rho(w^-1) action(w) has integer entries
+    and P is the true projector.  The character is read at the class of w
+    itself, since w^-1 has the same signed cycle type.  One walk records
+    each element's class and action; the accumulators are then built one
+    at a time, each verified idempotent as dim * A@A == |W| * A.  The cost
+    guard runs before anything is built.
     """
-    if rho.size() != d:
-        raise ValueError(f"|{rho}| = {rho.size()} but d = {d}")
     _check_projector_work(n, d)
     size = (2 * n + 1) ** d
     table = character_table(d)
-    dim = irr_dim(rho)
     order = group_order(d)
-    acc = [[0] * size for _ in range(size)]
+    actions: dict[Bipartition, list] = {}
     for w in iter_group(d):
-        chi = table.value(rho, cycle_type(w))
-        if chi == 0:
-            continue
-        target, coeff = w_action_monomial(w, n, d)
-        for p in range(size):
-            acc[target[p]][p] += chi * coeff[p]
-    _check_idempotent(acc, dim, order, rho)
-    return tuple(tuple(row) for row in acc), dim, order
+        actions.setdefault(cycle_type(w), []).append(w_action_monomial(w, n, d))
+    out = []
+    for rho in enumerate_bipartitions(d):
+        dim = irr_dim(rho)
+        acc = [[0] * size for _ in range(size)]
+        for cls, elements in actions.items():
+            chi = table.value(rho, cls)
+            if chi == 0:
+                continue
+            for target, coeff in elements:
+                for p in range(size):
+                    acc[target[p]][p] += chi * coeff[p]
+        _check_idempotent(acc, dim, order, rho)
+        out.append((rho, tuple(tuple(row) for row in acc), dim))
+    return tuple(out)
 
 
 def _check_idempotent(acc, dim, order, rho):
@@ -153,34 +159,19 @@ def _check_idempotent(acc, dim, order, rho):
                 )
 
 
-def projector_rank(rho: Bipartition, n: int, d: int) -> int:
-    """Rank of the isotypic projector, read as its trace.
-
-    The accumulator was checked idempotent entry by entry as it was built,
-    and the rank of an idempotent is its trace (dim/|W|) * trace(A).
-    """
-    acc, dim, order = _scaled_projector(rho, n, d)
-    rank, rest = divmod(dim * sum(row[i] for i, row in enumerate(acc)), order)
-    if rest:
-        raise ArithmeticError(f"trace of the {rho}-projector is not an integer")
-    return rank
-
-
 def schur_weyl_decompose(n: int, d: int) -> dict[Bipartition, int]:
     """Multiplicity of each irreducible in the tensor bimodule.
 
-    Each multiplicity is projector rank / irreducible dimension, an exact
-    integer equal to gl_dim(first, n+1) * gl_dim(second, n).  The cost
-    guard runs before any label is enumerated.
+    Each projector is idempotent, so its rank is its trace, and the
+    multiplicity rank / dim is trace(A) / |W|: an exact integer equal to
+    gl_dim(first, n+1) * gl_dim(second, n).
     """
-    _check_projector_work(n, d)
+    projectors = scaled_projectors(n, d)  # guards d before |W| is computed
+    order = group_order(d)
     out = {}
-    for rho in enumerate_bipartitions(d):
-        rank = projector_rank(rho, n, d)
-        dim = irr_dim(rho)
-        if rank % dim:
-            raise ArithmeticError(
-                f"rank {rank} of {rho}-projector is not a multiple of dim {dim}"
-            )
-        out[rho] = rank // dim
+    for rho, acc, _dim in projectors:
+        mult, rest = divmod(sum(row[i] for i, row in enumerate(acc)), order)
+        if rest:
+            raise ArithmeticError(f"trace of the {rho}-projector is not a multiple of |W|")
+        out[rho] = mult
     return out

@@ -254,10 +254,9 @@ def _projector_algebra_ok(n: int, d: int) -> bool:
     # On the integer accumulators A = (|W|/dim) P, as sparse rows: the P sum
     # to 1 exactly when sum dim * A = |W| * I, and are orthogonal exactly
     # when A_rho A_sigma = 0.  Each A was checked idempotent as it was built.
-    accs = [tensor._scaled_projector(rho, n, d) for rho in enumerate_bipartitions(d)]
     size = (2 * n + 1) ** d
-    order = accs[0][2]
-    sparse = [(_sparse_rows(acc), dim) for acc, dim, _ in accs]
+    order = ho.group_order(d)
+    sparse = [(_sparse_rows(acc), dim) for _rho, acc, dim in tensor.scaled_projectors(n, d)]
     for i in range(size):
         total = [0] * size
         for rows, dim in sparse:

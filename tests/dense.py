@@ -8,8 +8,9 @@ that intertwines the two conventions.  ``sign`` is the package's action
 (springerc.tensor.w_action_monomial); ``swap`` is the permutation action of
 the coordinate-flag model (springerc.tensor._apply_swap).  None of it is
 on a CLI path: the package keeps only the integer sign-convention
-projector accumulators that `verify sw` checks, and reads their ranks as
-traces.
+projector accumulators that `verify sw` checks, all of (n, d) from one
+walk of the group (springerc.tensor.scaled_projectors), and reads their
+ranks as traces; scaled_projector looks up one label's.
 """
 
 from fractions import Fraction
@@ -26,11 +27,19 @@ from springerc.labels import Bipartition, SymComposition
 from springerc.partitions import irr_dim
 from springerc.tensor import (
     _apply_swap,
-    _scaled_projector,
     basis_positions,
+    scaled_projectors,
     tensor_basis,
     w_action_monomial,
 )
+
+
+def scaled_projector(rho: Bipartition, n: int, d: int):
+    """The package's accumulator for rho at (n, d), as (A, dim, |W|)."""
+    for label, acc, dim in scaled_projectors(n, d):
+        if label == rho:
+            return acc, dim, group_order(d)
+    raise ValueError(f"{rho} labels no projector at d = {d}")
 
 
 def bareiss_rank(grid: list[list[int]]) -> int:
@@ -429,7 +438,7 @@ def isotypic_projector(
     projector is summed here from the flag-model permutations.
     """
     if convention == "sign":
-        acc, dim, order = _scaled_projector(rho, n, d)
+        acc, dim, order = scaled_projector(rho, n, d)
     else:
         table = character_table(d)
         size = (2 * n + 1) ** d

@@ -240,11 +240,11 @@ def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
     multiplicity.  Returns {component: multiplicity}; callers check the sum
     against the closed form gl_dim(mu, n+1) * gl_dim(nu, n).
     """
-    from dense import bareiss_rank, tensor_grading
+    from dense import bareiss_rank, scaled_projector, tensor_grading
     from springerc.partitions import enumerate_sym_compositions
-    from springerc.tensor import _scaled_projector, tensor_basis
+    from springerc.tensor import tensor_basis
 
-    acc, dim, _order = _scaled_projector(rho, n, d)
+    acc, dim, _order = scaled_projector(rho, n, d)
     blocks: dict = {}
     for p, t in enumerate(tensor_basis(n, d)):
         blocks.setdefault(tensor_grading(t, n), []).append(p)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import theta_table
-from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor
+from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor, verify
 from springerc.cli import main
 from springerc.labels import Partition
 from springerc.partitions import enumerate_bipartitions
@@ -495,7 +496,19 @@ def test_springer_fuzz_exits_cleanly(d, fmt):
     exit_cleanly(["springer", f"--d={d}", f"--format={fmt}"])
 
 
-@pytest.mark.parametrize("suite", ["sw", "springer", "geometry", "characters", "all"])
+VERIFY_SUITES = sorted({*verify.SUITES, "all"})
+
+
+def test_verify_choices_name_the_suites():
+    # `--help` must not compile verify.py, so cli keeps its own list of
+    # the suites; it has to name exactly the ones verify runs.
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert set(suite.choices) == set(VERIFY_SUITES)
+
+
+@pytest.mark.parametrize("suite", VERIFY_SUITES)
 def test_verify_suites_pass(capsys, suite):
     code, out, _ = run(capsys, "verify", suite)
     assert code == 0
@@ -523,21 +536,26 @@ def test_projector_algebra_check_can_fail(capsys, monkeypatch, perturbation):
     # doubles its trace, so its multiplicity too; "shift" moves one entry
     # between two accumulators of dimension 1, which keeps the sum and every
     # trace but breaks orthogonality.
-    real = tensor._scaled_projector
+    real = tensor.scaled_projectors
 
-    def perturbed(rho, n, d):
-        acc, dim, order = real(rho, n, d)
+    def perturb(rho, acc):
         label = str(rho)
-        if (n, d) != (2, 2) or label not in ("2|-", "-|2"):
-            return acc, dim, order
+        if label not in ("2|-", "-|2"):
+            return acc
         grid = [list(row) for row in acc]
         if perturbation == "scale" and label == "2|-":
             grid = [[2 * x for x in row] for row in grid]
         elif perturbation == "shift":
             grid[0][1] += 1 if label == "2|-" else -1
-        return tuple(map(tuple, grid)), dim, order
+        return tuple(map(tuple, grid))
 
-    monkeypatch.setattr(tensor, "_scaled_projector", perturbed)
+    def perturbed(n, d):
+        projectors = real(n, d)
+        if (n, d) != (2, 2):
+            return projectors
+        return tuple((rho, perturb(rho, acc), dim) for rho, acc, dim in projectors)
+
+    monkeypatch.setattr(tensor, "scaled_projectors", perturbed)
     code, out, _ = run(capsys, "verify", "sw")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]

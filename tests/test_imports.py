@@ -5,9 +5,11 @@ keeps start-up short.  The probe records the modules loaded after the
 interpreter started, so whatever the site set-up imports does not count.
 """
 
+import ast
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -187,3 +189,16 @@ def test_benchmark_tracer_runs(suite):
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
     assert any(line.startswith("PERFBENCH_TRACE ") for line in proc.stderr.splitlines())
+
+
+def test_sources_parse_at_the_python_floor():
+    # Tests run on one interpreter, so nothing else would notice syntax
+    # newer than the floor pyproject.toml declares (`except*` needs 3.11).
+    floor = re.search(
+        r'^requires-python = ">=(\d+)\.(\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M
+    )
+    version = (int(floor[1]), int(floor[2]))
+    sources = sorted((SRC / "springerc").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

@@ -8,6 +8,7 @@ from dense import (
     generators,
     involution_fixed_generators,
     isotypic_projector,
+    scaled_projector,
     single_factor_change_of_basis,
     tensor_grading,
     w_action_matrix,
@@ -40,8 +41,7 @@ from springerc.partitions import (
 from springerc.tensor import (
     _apply_swap,
     _check_idempotent,
-    _scaled_projector,
-    projector_rank,
+    scaled_projectors,
     schur_weyl_decompose,
     tensor_basis,
 )
@@ -279,7 +279,7 @@ def test_idempotence_check_sees_one_changed_entry():
     # support.  For this label, adding 1 anywhere breaks idempotence (for
     # some others it can give another idempotent).
     rho = bp("1,1|-")
-    acc, dim, order = _scaled_projector(rho, 2, 2)
+    acc, dim, order = scaled_projector(rho, 2, 2)
     _check_idempotent(acc, dim, order, rho)
     for i in range(25):
         for j in range(25):
@@ -287,6 +287,11 @@ def test_idempotence_check_sees_one_changed_entry():
             grid[i][j] += 1
             with pytest.raises(ArithmeticError, match="not idempotent"):
                 _check_idempotent(grid, dim, order, rho)
+
+
+def projector_rank(rho, n, d):
+    """The rank the package reads as a trace: multiplicity times dimension."""
+    return schur_weyl_decompose(n, d)[rho] * irr_dim(rho)
 
 
 def test_projector_rank_equals_trace():
@@ -297,9 +302,34 @@ def test_projector_rank_equals_trace():
             p = isotypic_projector(rho, n, d, "sign")
             assert p.rank() == p.trace() == projector_rank(rho, n, d)
     for n, d in ((1, 1), (1, 2), (2, 2), (0, 3), (1, 3), (2, 3)):
-        for rho in enumerate_bipartitions(d):
-            acc, _dim, _order = _scaled_projector(rho, n, d)
+        for rho, acc, _dim in scaled_projectors(n, d):
             assert bareiss_rank(acc) == projector_rank(rho, n, d), (n, d, str(rho))
+
+
+def test_one_group_walk_per_point(monkeypatch):
+    # Every projector of (n, d) comes from one cached walk of the group:
+    # `verify sw` decomposes (1, 1), (1, 2) and (2, 2), and its projector
+    # algebra check reuses the (2, 2) walk.
+    from springerc.verify import run_suite
+
+    walks = []
+    real = tensor.iter_group
+
+    def counted(d):
+        walks.append(d)
+        yield from real(d)
+
+    monkeypatch.setattr(tensor, "iter_group", counted)
+    scaled_projectors.cache_clear()
+    schur_weyl_decompose(2, 2)
+    schur_weyl_decompose(2, 2)
+    scaled_projectors(2, 2)
+    assert walks == [2]
+    scaled_projectors.cache_clear()
+    walks.clear()
+    run_suite("sw")
+    assert sorted(walks) == [1, 2, 2]
+    scaled_projectors.cache_clear()
 
 
 def test_projector_input_validation():
@@ -309,7 +339,7 @@ def test_projector_input_validation():
     with pytest.raises(ValueError):
         schur_weyl_decompose(1, 0)
     with pytest.raises(ValueError):
-        projector_rank(bp("-|-"), 1, 0)
+        scaled_projectors(1, 0)
     # invalid input is refused ahead of the cost guard
     with pytest.raises(ValueError):
         schur_weyl_decompose(10**6, 0)
@@ -490,18 +520,18 @@ def test_cost_guard():
 def test_group_pass_refuses_ranks_the_cell_ceiling_admits(monkeypatch, n, d):
     # A ceiling of 20,000 on N^d admits each of these.  At (2, 6) one
     # accumulator alone would hold 15,625^2 entries; at n = 0 the group
-    # pass walks 2^d * d! elements per label.  Each refusal comes before
-    # any label, character or group element is built.
+    # pass walks 2^d * d! elements and fills #bipartitions(d) accumulators.
+    # Each refusal comes before any label, character or group element is
+    # built.
     def build(*_args):
         raise AssertionError("the projectors were started")
 
-    label = Bipartition(Partition([d]), Partition())
     for name in ("enumerate_bipartitions", "character_table", "iter_group"):
         monkeypatch.setattr(tensor, name, build)
     with pytest.raises(CostBoundExceeded, match="ceiling"):
         schur_weyl_decompose(n, d)
     with pytest.raises(CostBoundExceeded, match="ceiling"):
-        projector_rank(label, n, d)
+        scaled_projectors(n, d)
 
 
 def test_largest_admitted_projector_per_rank():
