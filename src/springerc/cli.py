@@ -16,10 +16,10 @@ failed (a bug, never the input's fault), 141 the reader closed stdout early
 
 Each process runs one command, so each command imports the modules it
 needs when it runs: ``--help`` loads no engine; ``htop``, ``springer`` and
-``theta`` never load the tensor, group or exact-matrix code; and ``theta``,
-whose table `theta.write_table` writes, loads neither the Kostka engine
-nor the Springer map.  No command writes its output a line at a time (see
-_write_blocks).
+``theta`` never load the tensor, group or exact-matrix code; ``theta``
+loads neither the Kostka engine nor the Springer map; each ``verify``
+suite loads its own engines.  No command writes its output a line at a
+time (see _write_blocks).
 """
 
 from __future__ import annotations

@@ -1,26 +1,14 @@
-"""Self-contained verification suites backing the `verify` CLI command.
+"""Verification suites backing the `verify` CLI command.
 
-Each suite re-derives a family of identities with independent machinery and
-reports one line per check; any failure carries the offending exact values.
+Each suite imports its own engines, re-derives a family of identities with
+independent machinery and reports one line per check; any failure carries
+its exact values.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul
-
-from . import geometry, hyperoctahedral as ho, springer, tensor, theta
-from .exact import _row_times, _sparse_rows
-from .labels import Bipartition, Partition
-from .partitions import (
-    enumerate_bipartitions,
-    enumerate_sym_compositions,
-    enumerate_type_c,
-    gl_dim,
-    graded_multiplicities,
-    irr_dim,
-    is_type_c,
-)
 
 
 class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
@@ -38,6 +26,10 @@ def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
 
 
 def suite_characters() -> list[CheckResult]:
+    from . import hyperoctahedral as ho
+    from .labels import Bipartition, Partition
+    from .partitions import irr_dim
+
     out = []
     for d in range(1, 5):
         table = ho.character_table(d)
@@ -99,6 +91,10 @@ def suite_characters() -> list[CheckResult]:
 
 
 def suite_springer() -> list[CheckResult]:
+    from . import springer
+    from .labels import Partition
+    from .partitions import enumerate_bipartitions, is_type_c
+
     out = []
     expected_d2 = {
         "2|-": "2,2",
@@ -144,6 +140,9 @@ def suite_springer() -> list[CheckResult]:
 
 
 def suite_geometry() -> list[CheckResult]:
+    from . import geometry
+    from .partitions import enumerate_sym_compositions, enumerate_type_c
+
     out = []
     for n, two_d in ((2, 4), (3, 6)):
         ok = True
@@ -195,6 +194,15 @@ def suite_geometry() -> list[CheckResult]:
 
 
 def suite_schur_weyl() -> list[CheckResult]:
+    from . import hyperoctahedral as ho, tensor, theta
+    from .partitions import (
+        enumerate_bipartitions,
+        enumerate_sym_compositions,
+        gl_dim,
+        graded_multiplicities,
+        irr_dim,
+    )
+
     out = []
     decompositions = {}
     for n, d in ((1, 1), (1, 2), (2, 2)):
@@ -251,6 +259,9 @@ def suite_schur_weyl() -> list[CheckResult]:
 
 
 def _projector_algebra_ok(n: int, d: int) -> bool:
+    from . import hyperoctahedral as ho, tensor
+    from .exact import _row_times, _sparse_rows
+
     # On the integer accumulators A = (|W|/dim) P, as sparse rows: the P sum
     # to 1 exactly when sum dim * A = |W| * I, and are orthogonal exactly
     # when A_rho A_sigma = 0.  Each A was checked idempotent as it was built.

@@ -232,7 +232,7 @@ def coset_character_by_group(dcomp) -> dict:
 
 
 def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
-    """Reference for partitions.graded_multiplicity: ranks of projector blocks.
+    """Reference for partitions.graded_multiplicities: ranks of projector blocks.
 
     The sign-convention action preserves the grading, so the isotypic
     projector is block-diagonal; each block rank divided by the irreducible

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from springerc import verify
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PROBE = """
@@ -67,7 +69,10 @@ def test_package_import_loads_no_submodule():
 
 
 def readme_import_table():
-    """{command: modules} from the table under "Each command imports only the modules it runs"."""
+    """{command: modules} from the table under "Each command imports only the modules it runs".
+
+    A `verify` row names its suite too, as in "verify sw".
+    """
     section = (ROOT / "README.md").read_text().split("Each command imports only the modules it runs", 1)[1]
     table = next(block for block in section.split("\n\n") if block.startswith("|"))
     rows = {}
@@ -80,6 +85,7 @@ def readme_import_table():
 
 
 BASE = {"springerc", "springerc.cli", "springerc.limits"}
+VERIFY_SUITES = [*verify.SUITES, "all"]
 
 
 @pytest.mark.parametrize(
@@ -90,17 +96,18 @@ BASE = {"springerc", "springerc.cli", "springerc.limits"}
         ("theta", "--n", "2", "--d", "2", "--format", "tsv"),
         ("theta", "--n", "1", "--d", "2", "--component", "1,2,1", "--format", "json"),
         ("theta", "--n", "1", "--d", "2", "--format", "pretty"),
-        ("verify", "all"),
+        *(("verify", suite) for suite in VERIFY_SUITES),
     ],
 )
 def test_each_command_loads_its_readme_row(argv):
-    row = readme_import_table()[argv[0]]
+    row = readme_import_table()[" ".join(argv[:2]) if argv[0] == "verify" else argv[0]]
     loaded, _ = run_fresh(*argv)
     assert own(loaded) == BASE | {f"springerc.{name}" for name in row}
 
 
 def test_readme_import_table_has_every_command():
-    assert set(readme_import_table()) == {"--help", "springer", "htop", "theta", "verify"}
+    verify_rows = {f"verify {suite}" for suite in VERIFY_SUITES}
+    assert set(readme_import_table()) == {"--help", "springer", "htop", "theta", *verify_rows}
 
 
 @pytest.mark.parametrize("module", ["springerc.theta", "springerc.labels"])
@@ -167,6 +174,19 @@ def test_verify_all_loads_no_fractions():
     # characters, their orthogonality and decompositions are integer-only
     loaded, _ = run_fresh("verify", "all")
     assert "fractions" not in loaded
+
+
+def test_each_suite_prints_its_slice_of_verify_all():
+    # Each suite imports its own engines, so a suite run alone loads less
+    # than `verify all`; that must change no check line and no order.
+    def check_lines(suite):
+        proc = fresh("-m", "springerc", "verify", suite)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[:-1]  # drop the "k/k checks passed" line
+
+    slices = [check_lines(suite) for suite in verify.SUITES]
+    assert all(slices)
+    assert [line for lines in slices for line in lines] == check_lines("all")
 
 
 def test_readme_example():
