@@ -126,8 +126,7 @@ def cmd_springer(args) -> int:
     return EXIT_OK
 
 
-def _degree(report, dcomp) -> str:
-    degree = report.degrees[dcomp]
+def _degree(degree) -> str:
     return "-" if degree is None else str(degree)
 
 
@@ -143,9 +142,9 @@ def cmd_htop(args) -> int:
     if args.format == "tsv":
         header = ["orbit", "component", "degree", "htop", "orbit_total"]
         rows = [
-            [str(r.orbit), str(dcomp), _degree(r, dcomp), str(mult), str(r.total)]
+            [str(r.orbit), str(dcomp), _degree(degree), str(mult), str(r.total)]
             for r in reports
-            for dcomp, mult in r.per_component.items()
+            for dcomp, degree, mult in r.components
         ]
         sys.stdout.write(_format_table(header, rows, "tsv"))
         return EXIT_OK
@@ -158,10 +157,7 @@ def cmd_htop(args) -> int:
                     yield f"  from {rho}  (dual {dual}, dim {dim})\n"
             else:
                 yield "  no contributing labels\n"
-            rows = [
-                [str(dcomp), _degree(r, dcomp), str(mult)]
-                for dcomp, mult in r.per_component.items()
-            ]
+            rows = [[str(dcomp), _degree(deg), str(mult)] for dcomp, deg, mult in r.components]
             block = _format_table(["component", "degree", "htop"], rows, "pretty")
             yield "  " + block.replace("\n", "\n  ").rstrip() + "\n"
             yield f"  total {r.total}\n"

@@ -21,7 +21,6 @@ to_json_dict.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 
 from .labels import Partition, SymComposition
 from .partitions import (
@@ -77,15 +76,12 @@ def flag_dim(dcomp: SymComposition) -> int:
     return dim
 
 
-@lru_cache(maxsize=None)
 def richardson(dcomp: SymComposition) -> Partition:
     """The dense orbit in the moment-map image of the component.
 
     Computed as the type-C collapse of the dual of the sorted entries; the
     result is cross-checked against the independent flag-dimension formula
-    (orbit dimension must be exactly twice the flag dimension).  The orbit
-    depends on the component alone, so it is found, and checked, once per
-    component per process; a failed check caches nothing.
+    (orbit dimension must be exactly twice the flag dimension).
     """
     sorted_parts = Partition(sorted(dcomp, reverse=True))
     orbit = type_c_collapse(sorted_parts.dual())
@@ -107,25 +103,20 @@ def component_nonempty(a: Partition, dcomp: SymComposition) -> bool:
 def top_degree(a: Partition, dcomp: SymComposition) -> int:
     """Real Borel-Moore degree 2c of the top homology over this component.
 
-    c is the semismall bound (image_dim - orbit_dim)/2; requires the orbit
+    2c is the image dimension minus the orbit dimension; requires the orbit
     to meet the component image.
     """
     if not component_nonempty(a, dcomp):
         raise ValueError(f"orbit {a} does not meet the image of component {dcomp}")
-    return _semismall_degree(orbit_dim(a), dcomp)
+    return 2 * flag_dim(dcomp) - orbit_dim(a)
 
 
-def _semismall_degree(a_dim: int, dcomp: SymComposition) -> int:
-    c = (2 * flag_dim(dcomp) - a_dim) // 2
-    return 2 * c
-
-
-class HtopReport(namedtuple("HtopReport", "orbit contributing per_component degrees total")):
+class HtopReport(namedtuple("HtopReport", "orbit contributing components total")):
     """Predicted top Borel-Moore homology dimensions for one orbit.
 
     contributing holds (rho, rho_dual, dim of the dual isotypic piece);
-    degrees maps each component to its degree, or None when the fiber is
-    empty.
+    components holds one (component, degree, htop) row per component, in
+    enumeration order, with degree None when the fiber is empty.
     """
 
     __slots__ = ()
@@ -138,12 +129,8 @@ class HtopReport(namedtuple("HtopReport", "orbit contributing per_component degr
                 for rho, dual, dim in self.contributing
             ],
             "components": [
-                {
-                    "d": str(dcomp),
-                    "degree": self.degrees[dcomp],
-                    "htop": mult,
-                }
-                for dcomp, mult in self.per_component.items()
+                {"d": str(dcomp), "degree": degree, "htop": mult}
+                for dcomp, degree, mult in self.components
             ],
             "total": self.total,
         }
@@ -159,8 +146,10 @@ def htop_table(n: int, d: int, orbit: Partition | None = None) -> list[HtopRepor
     zero.  The orbit total is the sum of the closed forms; the per-component
     values add up to it by construction, since they sum the same checked
     rows.  The cost guard runs before anything is enumerated; the Springer
-    map is then scanned once, and the multiplicity table is built once, for
-    the duals the requested orbits need.
+    map is then scanned once, the multiplicity table is built once, for the
+    duals the requested orbits need, and each component's Richardson orbit
+    and image dimension are found once, before the orbit loop.  A degree is
+    the image dimension minus the orbit dimension, both even.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
@@ -171,6 +160,10 @@ def htop_table(n: int, d: int, orbit: Partition | None = None) -> list[HtopRepor
     orbits = list(image) if orbit is None else [orbit]
     duals = {rho: rho.dual() for a in orbits for rho in image[a]}
     table = graded_multiplicities(n, d, duals.values())
+    facts = [
+        (dcomp, richardson(dcomp), 2 * flag_dim(dcomp))
+        for dcomp in enumerate_sym_compositions(n, 2 * d)
+    ]
     reports = []
     for a in orbits:
         contributing = []
@@ -185,16 +178,15 @@ def htop_table(n: int, d: int, orbit: Partition | None = None) -> list[HtopRepor
                 )
             contributing.append((rho, dual, closed_dim))
         a_dim = orbit_dim(a)
-        per_component, degrees = {}, {}
-        for dcomp in enumerate_sym_compositions(n, 2 * d):
+        components = []
+        for dcomp, rich, image_dim in facts:
             value = sum(table[dual][dcomp] for _, dual, _ in contributing)
-            nonempty = component_nonempty(a, dcomp)
+            nonempty = dominance_leq(a, rich)
             if not nonempty and value != 0:
                 raise ArithmeticError(
                     f"component {dcomp} misses orbit {a} but carries multiplicity {value}"
                 )
-            per_component[dcomp] = value
-            degrees[dcomp] = _semismall_degree(a_dim, dcomp) if nonempty else None
+            components.append((dcomp, image_dim - a_dim if nonempty else None, value))
         total = sum(dim for _, _, dim in contributing)
-        reports.append(HtopReport(a, tuple(contributing), per_component, degrees, total))
+        reports.append(HtopReport(a, tuple(contributing), tuple(components), total))
     return reports

@@ -76,23 +76,24 @@ def enumerate_type_c(two_d: int) -> list[Partition]:
 
 @lru_cache(maxsize=None)
 def enumerate_sym_compositions(n_param: int, big_d: int) -> tuple[SymComposition, ...]:
-    """All mirror-symmetric compositions of big_d with 2*n_param+1 entries.
+    """All mirror-symmetric compositions of big_d with 2*n_param+1 entries, lex-descending.
 
-    Every multiplicity and report of one htop table walks the same
-    components, so they are built once per (n_param, big_d) and shared as
-    a tuple.
+    Each is one bounded composition h of big_d/2 into n_param+1 entries: the
+    first n_param are the head, and the last is the slack, half the middle
+    entry.  The head alone fixes the order, so h's lex-descending order is
+    kept and nothing is sorted.  Every multiplicity and report of one htop
+    table walks the same components, so they are built once per
+    (n_param, big_d) and shared as a tuple.
     """
     if big_d % 2:
         raise ValueError(f"total {big_d} must be even")
     if n_param < 0:
         raise ValueError("n_param must be nonnegative")
     half = big_d // 2
-    out = []
-    for s in range(half + 1):
-        for head in bounded_compositions(s, (half,) * n_param):
-            out.append(SymComposition(head + (big_d - 2 * s,) + head[::-1]))
-    out.sort(reverse=True)
-    return tuple(out)
+    return tuple(
+        SymComposition(h[:-1] + (2 * h[-1],) + h[-2::-1])
+        for h in bounded_compositions(half, (half,) * (n_param + 1))
+    )
 
 
 def bounded_compositions(total: int, bounds) -> list[tuple[int, ...]]:

@@ -21,10 +21,6 @@ class CheckResult(namedtuple("CheckResult", "name ok detail", defaults=("",))):
         return f"{mark}  {self.name}" + (f": {self.detail}" if self.detail else "")
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(ok), detail)
-
-
 def suite_characters() -> list[CheckResult]:
     from . import hyperoctahedral as ho
     from .labels import Bipartition, Partition
@@ -35,16 +31,16 @@ def suite_characters() -> list[CheckResult]:
         table = ho.character_table(d)
         order = table.group_order
         out.append(
-            _check(
+            CheckResult(
                 f"class equation d={d}",
                 sum(table.class_sizes.values()) == order,
                 f"sum of class sizes vs {order}",
             )
         )
         dims_ok = all(table.dim(rho) == irr_dim(rho) for rho in table.rows)
-        out.append(_check(f"identity column equals dims d={d}", dims_ok))
+        out.append(CheckResult(f"identity column equals dims d={d}", dims_ok))
         sq = sum(table.dim(rho) ** 2 for rho in table.rows)
-        out.append(_check(f"sum of dim^2 d={d}", sq == order, f"{sq} vs {order}"))
+        out.append(CheckResult(f"sum of dim^2 d={d}", sq == order, f"{sq} vs {order}"))
         # The table as rows of values, one per irreducible, and as columns.
         rows = [[table.value(rho, c) for c in table.cols] for rho in table.rows]
         sizes = [table.class_sizes[c] for c in table.cols]
@@ -53,14 +49,14 @@ def suite_characters() -> list[CheckResult]:
             for i in range(len(rows))
             for j in range(i, len(rows))
         )
-        out.append(_check(f"row orthogonality d={d}", row_ok))
+        out.append(CheckResult(f"row orthogonality d={d}", row_ok))
         cols = list(zip(*rows))
         col_ok = all(
             sum(map(mul, cols[i], cols[j])) * sizes[i] == order * (i == j)
             for i in range(len(cols))
             for j in range(i, len(cols))
         )
-        out.append(_check(f"column orthogonality d={d}", col_ok))
+        out.append(CheckResult(f"column orthogonality d={d}", col_ok))
     table = ho.character_table(3)
     d = 3
     linear = {
@@ -75,14 +71,14 @@ def suite_characters() -> list[CheckResult]:
         for cls in table.cols:
             if table.value(rho, cls) != func(ho.class_representative(cls)):
                 lin_ok = False
-    out.append(_check("linear characters match explicit 1-dim models d=3", lin_ok))
+    out.append(CheckResult("linear characters match explicit 1-dim models d=3", lin_ok))
     regular = {
         cls: (ho.group_order(3) if cls == table.identity_class() else 0)
         for cls in table.cols
     }
     decomp = ho.decompose_character(regular, table)
     out.append(
-        _check(
+        CheckResult(
             "regular character decomposes with dims as multiplicities d=3",
             all(decomp[rho] == table.dim(rho) for rho in table.rows),
         )
@@ -107,9 +103,7 @@ def suite_springer() -> list[CheckResult]:
         str(rho): str(springer.springer_orbit(rho))
         for rho in enumerate_bipartitions(2)
     }
-    out.append(
-        _check("rank-2 correspondence table", got == expected_d2, f"{got}")
-    )
+    out.append(CheckResult("rank-2 correspondence table", got == expected_d2, f"{got}"))
     for d in range(0, 5):
         ok = True
         for rho in enumerate_bipartitions(d):
@@ -118,10 +112,10 @@ def suite_springer() -> list[CheckResult]:
                 ok = False
             if springer.springer_orbit(rho, extra_padding=3) != orbit:
                 ok = False
-        out.append(_check(f"valid type-C output and padding stability d={d}", ok))
+        out.append(CheckResult(f"valid type-C output and padding stability d={d}", ok))
     fiber = springer.springer_image(2)[Partition([2, 2])]
     out.append(
-        _check(
+        CheckResult(
             "fiber over (2,2) has the two expected labels",
             {str(r) for r in fiber} == {"2|-", "1|1"},
         )
@@ -130,7 +124,7 @@ def suite_springer() -> list[CheckResult]:
         image = springer.springer_image(d)
         hit = sum(1 for v in image.values() if v)
         out.append(
-            _check(
+            CheckResult(
                 f"fiber coverage report d={d}",
                 hit == len(image),
                 f"{hit}/{len(image)} type-C partitions hit",
@@ -150,7 +144,7 @@ def suite_geometry() -> list[CheckResult]:
             rich = geometry.richardson(dcomp)
             if geometry.orbit_dim(rich) != 2 * geometry.flag_dim(dcomp):
                 ok = False
-        out.append(_check(f"richardson self-check n={n}, 2d={two_d}", ok))
+        out.append(CheckResult(f"richardson self-check n={n}, 2d={two_d}", ok))
     expected_image_dims = {
         "1,1,0,1,1": 8,
         "0,1,2,1,0": 6,
@@ -164,7 +158,7 @@ def suite_geometry() -> list[CheckResult]:
         for dcomp in enumerate_sym_compositions(2, 4)
     }
     out.append(
-        _check("component image dimensions at n=2", got == expected_image_dims, f"{got}")
+        CheckResult("component image dimensions at n=2", got == expected_image_dims, f"{got}")
     )
     expected_empty = {
         "4": {"0,1,2,1,0", "1,0,2,0,1", "0,2,0,2,0", "2,0,0,0,2", "0,0,4,0,0"},
@@ -181,7 +175,7 @@ def suite_geometry() -> list[CheckResult]:
         }
         if missing != expected_empty[str(a)]:
             empty_ok = False
-    out.append(_check("emptiness pattern at n=2, d=2", empty_ok))
+    out.append(CheckResult("emptiness pattern at n=2, d=2", empty_ok))
     degree_ok = True
     for a in enumerate_type_c(4):
         for dcomp in enumerate_sym_compositions(2, 4):
@@ -189,7 +183,7 @@ def suite_geometry() -> list[CheckResult]:
                 deg = geometry.top_degree(a, dcomp)
                 if deg < 0 or deg % 2:
                     degree_ok = False
-    out.append(_check("top degrees even and nonnegative", degree_ok))
+    out.append(CheckResult("top degrees even and nonnegative", degree_ok))
     return out
 
 
@@ -212,17 +206,17 @@ def suite_schur_weyl() -> list[CheckResult]:
             mult == gl_dim(rho.first, n + 1) * gl_dim(rho.second, n)
             for rho, mult in mults.items()
         )
-        out.append(_check(f"multiplicities match weight dimensions n={n} d={d}", formula_ok))
+        out.append(CheckResult(f"multiplicities match weight dimensions n={n} d={d}", formula_ok))
         mass = sum(irr_dim(rho) * mult for rho, mult in mults.items())
         out.append(
-            _check(
+            CheckResult(
                 f"dimension count n={n} d={d}",
                 mass == big_n**d,
                 f"{mass} vs {big_n**d}",
             )
         )
     out.append(
-        _check(
+        CheckResult(
             "projector algebra (orthogonal idempotents summing to 1)",
             _projector_algebra_ok(2, 2),
         )
@@ -231,11 +225,11 @@ def suite_schur_weyl() -> list[CheckResult]:
         sum(per_weight.values()) == decompositions[2, 2][rho]
         for rho, per_weight in graded_multiplicities(2, 2, enumerate_bipartitions(2)).items()
     )
-    out.append(_check("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
+    out.append(CheckResult("graded totals agree with plain multiplicities n=2 d=2", graded_ok))
     flags = list(theta.iter_flag_matrices(2, 2))
     images = {cols[:2] for cols, _ in flags}
     out.append(
-        _check(
+        CheckResult(
             "flag matrices count and bijection",
             len(flags) == 25 and len(images) == 25,
             f"{len(flags)} matrices",
@@ -253,7 +247,7 @@ def suite_schur_weyl() -> list[CheckResult]:
             if fixed != expected:
                 fixed_ok = False
     out.append(
-        _check("coset permutation character equals flag fixed-point counts", fixed_ok)
+        CheckResult("coset permutation character equals flag fixed-point counts", fixed_ok)
     )
     return out
 

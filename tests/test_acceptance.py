@@ -119,7 +119,7 @@ def test_criterion_2_component_list():
 def test_criterion_3_main_orbit():
     with criterion(3, "top homology over the subsubregular orbit", 60.0):
         [report] = htop_table(2, 2, Partition([2, 1, 1]))
-        per = {str(k): v for k, v in report.per_component.items()}
+        per = {str(dcomp): mult for dcomp, _, mult in report.components}
         assert [per[c] for c in (D1, D2, D3, D4, D5, D6)] == [1, 0, 0, 1, 1, 0]
         assert report.total == 3
 
@@ -129,7 +129,7 @@ def test_criterion_4_remaining_orbits():
         totals = {str(r.orbit): r.total for r in htop_table(2, 2)}
         assert totals == {"4": 1, "2,2": 9, "2,1,1": 3, "1,1,1,1": 6}
         [subregular] = htop_table(2, 2, Partition([2, 2]))
-        per = {str(k): v for k, v in subregular.per_component.items()}
+        per = {str(dcomp): mult for dcomp, _, mult in subregular.components}
         assert [per[c] for c in (D1, D2, D3, D4, D5, D6)] == [3, 2, 2, 1, 1, 0]
         assert sum(per.values()) == 3 + 2 + 2 + 1 + 1
 

@@ -288,6 +288,22 @@ def test_verify_output_is_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE[command]
 
 
+HTOP_DIGESTS = json.loads((GOLDEN / "htop_digests.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "command",
+    list(HTOP_DIGESTS),
+    ids=["n{2}_d{4}_{6}".format(*c.split()) for c in HTOP_DIGESTS],
+)
+def test_htop_output_is_pinned(capsys, command):
+    # sha256 of htop's tsv, json and pretty output at points with d <= 5;
+    # perfbench/reference.json pins only the json of the benchmark's points.
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HTOP_DIGESTS[command]
+
+
 class RecordingStdout:
     """A stdout that keeps each write as one string."""
 

@@ -33,12 +33,17 @@ def test_orbit_dim_examples():
 
 
 def test_orbit_dim_bounds():
-    for two_d in (2, 4, 6, 8):
+    # Symplectic orbits have even dimension (Collingwood-McGovern 6.1), so a
+    # degree, image dimension minus orbit dimension, needs no halving.
+    count = 0
+    for two_d in range(0, 31, 2):
         cone = two_d * two_d // 2
         for a in enumerate_type_c(two_d):
             dim = orbit_dim(a)
             assert 0 <= dim <= cone
             assert dim % 2 == 0
+            count += 1
+    assert count == 4731
     assert orbit_dim(part("2,1,1")) == 4
 
 
@@ -91,7 +96,7 @@ def test_top_degree_examples():
 def test_htop_report_main_orbit():
     report = htop_table(2, 2, part("2,1,1"))[0]
     assert report.total == 3
-    per = {str(k): v for k, v in report.per_component.items()}
+    per = {str(dcomp): mult for dcomp, _, mult in report.components}
     assert per == {
         "1,1,0,1,1": 1,
         "0,1,2,1,0": 0,
@@ -102,10 +107,25 @@ def test_htop_report_main_orbit():
     }
     assert [str(r) for r, _, _ in report.contributing] == ["-|1,1"]
     assert [str(dual) for _, dual, _ in report.contributing] == ["-|2"]
-    assert report.degrees[Q54["1,1,0,1,1"]] == 4
-    assert report.degrees[Q54["0,1,2,1,0"]] == 2
-    assert report.degrees[Q54["0,0,4,0,0"]] is None
-    assert report.degrees.keys() == report.per_component.keys()
+    degrees = {dcomp: degree for dcomp, degree, _ in report.components}
+    assert degrees[Q54["1,1,0,1,1"]] == 4
+    assert degrees[Q54["0,1,2,1,0"]] == 2
+    assert degrees[Q54["0,0,4,0,0"]] is None
+    assert [dcomp for dcomp, _, _ in report.components] == list(Q54.values())
+
+
+@pytest.mark.parametrize("n,d", [(0, 4), (1, 3), (2, 2), (2, 3), (3, 3), (1, 5), (4, 2)])
+def test_degrees_are_exact_differences(n, d):
+    # Each row's degree is image dimension minus orbit dimension, taken
+    # without rounding, so a parity fault would show as an odd degree.
+    for report in htop_table(n, d):
+        a = report.orbit
+        for dcomp, degree, _ in report.components:
+            if component_nonempty(a, dcomp):
+                assert degree == top_degree(a, dcomp)
+                assert degree >= 0 and degree % 2 == 0
+            else:
+                assert degree is None
 
 
 def test_htop_totals_all_orbits():
@@ -125,7 +145,7 @@ def test_htop_totals_all_orbits():
 
 def test_htop_subregular_profile():
     report = htop_table(2, 2, part("2,2"))[0]
-    per = {str(k): v for k, v in report.per_component.items()}
+    per = {str(dcomp): mult for dcomp, _, mult in report.components}
     assert per == {
         "1,1,0,1,1": 3,
         "0,1,2,1,0": 2,
@@ -138,16 +158,16 @@ def test_htop_subregular_profile():
 
 def test_htop_zero_orbit_counts_components():
     report = htop_table(2, 2, part("1,1,1,1"))[0]
-    assert all(v == 1 for v in report.per_component.values())
+    assert all(mult == 1 for _, _, mult in report.components)
     assert report.total == 6
 
 
 def test_htop_vanishes_outside_image_closure():
     for a in enumerate_type_c(4):
         report = htop_table(2, 2, a)[0]
-        for dcomp in enumerate_sym_compositions(2, 4):
+        for dcomp, _, mult in report.components:
             if not component_nonempty(a, dcomp):
-                assert report.per_component[dcomp] == 0
+                assert mult == 0
 
 
 def test_htop_report_json_schema():
@@ -216,20 +236,16 @@ def test_full_table_finds_each_richardson_orbit_once(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(geometry, "type_c_collapse", counted)
-    geometry.richardson.cache_clear()
     assert len(htop_table(2, 3)) > 1
     assert len(collapses) == len(enumerate_sym_compositions(2, 6))
 
 
-def test_failed_richardson_self_check_is_not_cached(monkeypatch):
-    dcomp = Q54["1,1,0,1,1"]
-    geometry.richardson.cache_clear()
+def test_failed_richardson_self_check_raises(monkeypatch):
     monkeypatch.setattr(geometry, "flag_dim", lambda c: 0)
-    for _ in range(2):
-        with pytest.raises(ArithmeticError):
-            richardson(dcomp)
-    monkeypatch.undo()
-    assert richardson(dcomp) == part("4")
+    with pytest.raises(ArithmeticError, match="self-check failed for 1,1,0,1,1"):
+        richardson(Q54["1,1,0,1,1"])
+    with pytest.raises(ArithmeticError, match="self-check failed"):
+        htop_table(2, 2)
 
 
 def test_iter_flag_matrices_checks_before_the_first_matrix():

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from springerc import verify
+from springerc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -200,14 +201,27 @@ def test_readme_example():
     assert out.getvalue().splitlines()[0] == "3"
 
 
-@pytest.mark.parametrize("suite", ["springer", "sw"])
-def test_benchmark_tracer_runs(suite):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("verify", "springer"), id="springer"),
+        pytest.param(("verify", "sw"), id="sw"),
+        pytest.param(("htop", "--n", "2", "--d", "2", "--format", "json"), id="htop_json"),
+        pytest.param(("springer", "--d", "3", "--format", "tsv"), id="springer_tsv"),
+        pytest.param(("theta", "--n", "1", "--d", "2", "--format", "tsv"), id="theta_tsv"),
+    ],
+)
+def test_benchmark_tracer_runs(argv):
     # perfbench/traced_cli.py imports every module it traces by name and
-    # wraps some functions with fixed signatures; a renamed module or
-    # changed signature would make `run.py --trace 1` fail.
-    proc = fresh(str(ROOT / "perfbench" / "traced_cli.py"), "verify", suite)
+    # wraps some functions with fixed signatures; a renamed module, a changed
+    # signature or a changed report type would make `run.py --trace 1` fail.
+    # Each command kind runs once, and its stdout must be the untraced one.
+    proc = fresh(str(ROOT / "perfbench" / "traced_cli.py"), *argv)
     assert proc.returncode == 0, proc.stderr
-    assert "checks passed" in proc.stdout
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    assert proc.stdout == out.getvalue()
     assert any(line.startswith("PERFBENCH_TRACE ") for line in proc.stderr.splitlines())
 
 
