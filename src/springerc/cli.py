@@ -25,7 +25,6 @@ time (see _write_blocks).
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import sys
 
@@ -38,7 +37,6 @@ EXIT_BAD_INPUT = 3
 EXIT_SELF_CHECK = 4
 EXIT_BROKEN_PIPE = 141
 
-WRITE_BLOCK = 1024  # at most this many rows (or JSON tokens) per stdout write
 WRITE_CHARS = 1 << 16  # a block closes once it holds this many characters
 
 
@@ -63,22 +61,21 @@ def _character_name(rho) -> str:
 
 
 def _write_blocks(chunks) -> None:
-    """Write the strings to stdout, joined into blocks of at most WRITE_BLOCK.
+    """Write the strings to stdout, joined into blocks of about WRITE_CHARS.
 
     Stdout may be unbuffered (PYTHONUNBUFFERED), where every write is a
     system call, so a row-at-a-time table would pay one per row.  A block
-    also closes at WRITE_CHARS characters, so wide rows never build a
-    string much longer than that.
+    closes at the chunk that brings it to WRITE_CHARS characters, so wide
+    rows never build a string much longer than that.
     """
-    chunks = iter(chunks)
-    for first in chunks:
-        block = [first]
-        size = len(first)
-        for chunk in itertools.islice(chunks, WRITE_BLOCK - 1):
-            block.append(chunk)
-            size += len(chunk)
-            if size >= WRITE_CHARS:
-                break
+    block, size = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        size += len(chunk)
+        if size >= WRITE_CHARS:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    if block:
         sys.stdout.write("".join(block))
 
 
@@ -137,7 +134,24 @@ def cmd_htop(args) -> int:
     orbit = None if args.orbit is None else Partition.from_string(args.orbit)
     reports = htop_table(args.n, args.d, orbit)
     if args.format == "json":
-        _print_json([r.to_json_dict() for r in reports])
+        # A named tuple would go to json as an array, so each report is a dict.
+        _print_json(
+            [
+                {
+                    "orbit": str(r.orbit),
+                    "contributing": [
+                        {"rho": str(rho), "rho_dual": str(dual), "dim": dim}
+                        for rho, dual, dim in r.contributing
+                    ],
+                    "components": [
+                        {"d": str(dcomp), "degree": degree, "htop": mult}
+                        for dcomp, degree, mult in r.components
+                    ],
+                    "total": r.total,
+                }
+                for r in reports
+            ]
+        )
         return EXIT_OK
     if args.format == "tsv":
         header = ["orbit", "component", "degree", "htop", "orbit_total"]

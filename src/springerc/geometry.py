@@ -13,9 +13,9 @@ from the graded isotypic multiplicities of the dual bipartitions in the
 tensor bimodule.
 
 A component is a SymComposition, the tuple of its entries; its coordinate
-flags, which `theta` lists, are built in `theta`.  An HtopReport is a named
-tuple; json would write it as an array, so the CLI writes it through
-to_json_dict.
+flags, which `theta` lists, are built in `theta`.  `htop_table` is the one
+place where a component's emptiness over an orbit and its top degree are
+found: a row's degree is None exactly when the fiber is empty.
 """
 
 from __future__ import annotations
@@ -87,53 +87,17 @@ def richardson(dcomp: SymComposition) -> Partition:
     orbit = type_c_collapse(sorted_parts.dual())
     if orbit_dim(orbit) != 2 * flag_dim(dcomp):
         raise ArithmeticError(
-            f"self-check failed for {dcomp}: orbit {orbit} has dim "
+            f"{dcomp}: orbit {orbit} has dim "
             f"{orbit_dim(orbit)} but the flag variety has dim {flag_dim(dcomp)}"
         )
     return orbit
 
 
-def component_nonempty(a: Partition, dcomp: SymComposition) -> bool:
-    """Whether the orbit meets the closure of the component image."""
-    if a.size() != dcomp.total:
-        raise ValueError(f"|{a}| = {a.size()} != component total {dcomp.total}")
-    return dominance_leq(a, richardson(dcomp))
-
-
-def top_degree(a: Partition, dcomp: SymComposition) -> int:
-    """Real Borel-Moore degree 2c of the top homology over this component.
-
-    2c is the image dimension minus the orbit dimension; requires the orbit
-    to meet the component image.
-    """
-    if not component_nonempty(a, dcomp):
-        raise ValueError(f"orbit {a} does not meet the image of component {dcomp}")
-    return 2 * flag_dim(dcomp) - orbit_dim(a)
-
-
-class HtopReport(namedtuple("HtopReport", "orbit contributing components total")):
-    """Predicted top Borel-Moore homology dimensions for one orbit.
-
-    contributing holds (rho, rho_dual, dim of the dual isotypic piece);
-    components holds one (component, degree, htop) row per component, in
-    enumeration order, with degree None when the fiber is empty.
-    """
-
-    __slots__ = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "orbit": str(self.orbit),
-            "contributing": [
-                {"rho": str(rho), "rho_dual": str(dual), "dim": dim}
-                for rho, dual, dim in self.contributing
-            ],
-            "components": [
-                {"d": str(dcomp), "degree": degree, "htop": mult}
-                for dcomp, degree, mult in self.components
-            ],
-            "total": self.total,
-        }
+# Predicted top Borel-Moore homology dimensions for one orbit.  contributing
+# holds (rho, rho_dual, dim of the dual isotypic piece); components holds one
+# (component, degree, htop) row per component, in enumeration order, with
+# degree None when the fiber is empty.  The CLI writes its three formats.
+HtopReport = namedtuple("HtopReport", "orbit contributing components total")
 
 
 def htop_table(n: int, d: int, orbit: Partition | None = None) -> list[HtopReport]:
@@ -148,8 +112,10 @@ def htop_table(n: int, d: int, orbit: Partition | None = None) -> list[HtopRepor
     rows.  The cost guard runs before anything is enumerated; the Springer
     map is then scanned once, the multiplicity table is built once, for the
     duals the requested orbits need, and each component's Richardson orbit
-    and image dimension are found once, before the orbit loop.  A degree is
-    the image dimension minus the orbit dimension, both even.
+    and image dimension are found once, before the orbit loop.  A component
+    misses the orbit unless the orbit lies below its Richardson orbit in
+    dominance order; its row's degree is then None, and otherwise the image
+    dimension minus the orbit dimension, both even.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")

@@ -19,13 +19,7 @@ from dense import (
     w_action_matrix,
 )
 from springerc.cli import main
-from springerc.geometry import (
-    component_nonempty,
-    flag_dim,
-    htop_table,
-    orbit_dim,
-    richardson,
-)
+from springerc.geometry import flag_dim, htop_table, orbit_dim, richardson
 from springerc.hyperoctahedral import (
     character_table,
     class_representative,
@@ -239,13 +233,11 @@ def test_criterion_9_commutants_and_change_of_basis():
 
 def test_criterion_10_emptiness_pattern():
     with criterion(10, "fiber emptiness pattern", 1.0):
-        comps = enumerate_sym_compositions(2, 4)
         pattern = {
-            str(a): {
-                str(c) for c in comps if not component_nonempty(a, c)
-            }
-            for a in enumerate_type_c(4)
+            str(r.orbit): {str(c) for c, degree, _ in r.components if degree is None}
+            for r in htop_table(2, 2)
         }
+        assert list(pattern) == [str(a) for a in enumerate_type_c(4)]
         assert pattern["4"] == {D2, D3, D4, D5, D6}
         assert pattern["2,2"] == {D6}
         assert pattern["2,1,1"] == {D6}

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from oracles import theta_table
 from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor, verify
 from springerc.cli import main
-from springerc.labels import Partition
 from springerc.partitions import enumerate_bipartitions
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -355,8 +354,8 @@ def test_theta_writes_blocks_and_checks_no_grading_per_row(monkeypatch):
 
 
 def test_theta_bounds_each_write_by_characters(monkeypatch):
-    # Each row of this table is about 1.2 KB, so far fewer than WRITE_BLOCK
-    # rows fill WRITE_CHARS; a block closes at the row that reaches it.
+    # Each row of this table is about 1.2 KB; a block closes at the row that
+    # brings it to WRITE_CHARS.
     sink = RecordingStdout()
     monkeypatch.setattr(sys, "stdout", sink)
     assert main(["theta", "--n", "300", "--d", "1", "--format", "tsv"]) == 0
@@ -379,8 +378,8 @@ def test_htop_pretty_and_verify_write_blocks(monkeypatch, argv):
     text = "".join(sink.writes)
     lines = text.count("\n")
     assert lines > 40 and text.endswith("\n")
-    # Every write but the last holds WRITE_BLOCK lines or WRITE_CHARS characters.
-    assert len(sink.writes) <= lines // cli.WRITE_BLOCK + len(text) // cli.WRITE_CHARS + 1
+    # Every write but the last holds at least WRITE_CHARS characters.
+    assert len(sink.writes) <= len(text) // cli.WRITE_CHARS + 1
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
@@ -587,14 +586,13 @@ def test_projector_algebra_check_can_fail(capsys, monkeypatch, perturbation):
         assert failed == ["FAIL  projector algebra (orthogonal idempotents summing to 1)"]
 
 
-def test_orthogonality_checks_can_fail(capsys, monkeypatch):
-    # One changed value off the identity column breaks both orthogonality
-    # relations of its table and nothing else.
+def _perturb_character_table(monkeypatch, rank):
+    # One changed value off the identity column of the table of this rank.
     real = hyperoctahedral.character_table
 
     def perturbed(d):
         table = real(d)
-        if d != 2:
+        if d != rank:
             return table
         cls = next(c for c in table.cols if c != table.identity_class())
         values = dict(table.values)
@@ -602,6 +600,11 @@ def test_orthogonality_checks_can_fail(capsys, monkeypatch):
         return table._replace(values=values)
 
     monkeypatch.setattr(hyperoctahedral, "character_table", perturbed)
+
+
+def test_orthogonality_checks_can_fail(capsys, monkeypatch):
+    # At rank 2 this breaks both orthogonality relations and nothing else.
+    _perturb_character_table(monkeypatch, 2)
     code, out, _ = run(capsys, "verify", "characters")
     assert code == 1
     assert "FAIL  row orthogonality d=2" in out
@@ -609,11 +612,62 @@ def test_orthogonality_checks_can_fail(capsys, monkeypatch):
     assert out.count("FAIL") == 2
 
 
+def _wrong_flag_dim(monkeypatch):
+    real = geometry.flag_dim
+    monkeypatch.setattr(
+        geometry, "flag_dim", lambda dcomp: 99 if str(dcomp) == "1,1,0,1,1" else real(dcomp)
+    )
+
+
+def _one_degree_dropped(monkeypatch):
+    real = geometry.htop_table
+
+    def dropped(n, d, orbit=None):
+        # The zero orbit meets every component, so its first row has a degree.
+        reports = real(n, d, orbit)
+        last = reports[-1]
+        (dcomp, degree, mult), *rest = last.components
+        assert degree is not None
+        reports[-1] = last._replace(components=((dcomp, None, mult), *rest))
+        return reports
+
+    monkeypatch.setattr(geometry, "htop_table", dropped)
+
+
 def test_richardson_check_can_fail(capsys, monkeypatch):
-    monkeypatch.setattr(geometry, "richardson", lambda dcomp: Partition([1] * dcomp.total))
-    code, out, _ = run(capsys, "verify", "geometry")
+    _wrong_flag_dim(monkeypatch)
+    code, out, err = run(capsys, "verify", "geometry")
     assert code == 1
-    assert "FAIL  richardson self-check n=2, 2d=4" in out
+    assert out == (
+        "FAIL  richardson self-check n=2, 2d=4: 1,1,0,1,1: orbit 4 has dim 8 "
+        "but the flag variety has dim 99\n0/1 checks passed\n"
+    )
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "fault,suite,failed",
+    [
+        (_wrong_flag_dim, "geometry", "richardson self-check n=2, 2d=4"),
+        (
+            lambda monkeypatch: _perturb_character_table(monkeypatch, 3),
+            "characters",
+            "regular character decomposes",
+        ),
+        (_one_degree_dropped, "geometry", "emptiness pattern at n=2, d=2"),
+    ],
+    ids=["flag_dim", "character_table", "htop_table"],
+)
+def test_engine_fault_is_a_verify_fail_line(capsys, monkeypatch, fault, suite, failed):
+    fault(monkeypatch)
+    code, out, err = run(capsys, "verify", suite)
+    assert code == 1
+    lines = out.splitlines()
+    assert any(line.startswith(f"FAIL  {failed}") for line in lines)
+    passed = sum(line.startswith("ok  ") for line in lines[:-1])
+    assert lines[-1] == f"{passed}/{len(lines) - 1} checks passed"
+    assert passed < len(lines) - 1
+    assert err == ""
 
 
 def test_outputs_are_deterministic(capsys):

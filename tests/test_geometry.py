@@ -1,19 +1,20 @@
 import json
+from functools import lru_cache
 
 import pytest
 
+from oracles import dominance_maximal_type_c
 from springerc import geometry
-from springerc.geometry import (
-    component_nonempty,
-    flag_dim,
-    htop_table,
-    orbit_dim,
-    richardson,
-    top_degree,
-)
+from springerc.cli import main
+from springerc.geometry import flag_dim, htop_table, orbit_dim, richardson
 from springerc.labels import Partition, SymComposition
 from springerc.limits import CostBoundExceeded
-from springerc.partitions import enumerate_sym_compositions, enumerate_type_c, gl_dim
+from springerc.partitions import (
+    dominance_leq,
+    enumerate_sym_compositions,
+    enumerate_type_c,
+    gl_dim,
+)
 from springerc.theta import iter_flag_matrices
 
 Q54 = {str(c): c for c in enumerate_sym_compositions(2, 4)}
@@ -21,6 +22,30 @@ Q54 = {str(c): c for c in enumerate_sym_compositions(2, 4)}
 
 def part(text):
     return Partition.from_string(text)
+
+
+@lru_cache(maxsize=None)
+def oracle_richardson(dcomp):
+    """The dense orbit of the component's image, by exhaustive search (no type_c_collapse)."""
+    return dominance_maximal_type_c(Partition(sorted(dcomp, reverse=True)).dual())
+
+
+def oracle_degree(a, dcomp):
+    """The top degree of dcomp over the orbit a, or None when the fiber is empty.
+
+    The fiber is empty unless a lies below the dense orbit of the image; the
+    degree is the image dimension minus the orbit dimension.
+    """
+    if not dominance_leq(a, oracle_richardson(dcomp)):
+        return None
+    return 2 * flag_dim(dcomp) - orbit_dim(a)
+
+
+def degrees_by_orbit(n, d):
+    return {
+        str(r.orbit): {str(dcomp): degree for dcomp, degree, _ in r.components}
+        for r in htop_table(n, d)
+    }
 
 
 def test_orbit_dim_examples():
@@ -76,21 +101,21 @@ def test_component_nonempty_pattern():
         "2,1,1": {"0,0,4,0,0"},
         "1,1,1,1": set(),
     }
-    for a in enumerate_type_c(4):
-        empty = {
-            text for text, dcomp in Q54.items() if not component_nonempty(a, dcomp)
-        }
-        assert empty == expected_empty[str(a)], str(a)
+    empty = {
+        orbit: {text for text, degree in row.items() if degree is None}
+        for orbit, row in degrees_by_orbit(2, 2).items()
+    }
+    assert empty == expected_empty
     with pytest.raises(ValueError):
-        component_nonempty(part("2"), Q54["1,1,0,1,1"])
+        htop_table(2, 2, part("2"))
 
 
 def test_top_degree_examples():
-    assert top_degree(part("2,1,1"), Q54["0,1,2,1,0"]) == 2
-    assert top_degree(part("2,1,1"), Q54["1,1,0,1,1"]) == 4
-    assert top_degree(part("4"), Q54["1,1,0,1,1"]) == 0
-    with pytest.raises(ValueError):
-        top_degree(part("4"), Q54["0,0,4,0,0"])
+    degrees = degrees_by_orbit(2, 2)
+    assert degrees["2,1,1"]["0,1,2,1,0"] == 2
+    assert degrees["2,1,1"]["1,1,0,1,1"] == 4
+    assert degrees["4"]["1,1,0,1,1"] == 0
+    assert degrees["4"]["0,0,4,0,0"] is None
 
 
 def test_htop_report_main_orbit():
@@ -116,16 +141,13 @@ def test_htop_report_main_orbit():
 
 @pytest.mark.parametrize("n,d", [(0, 4), (1, 3), (2, 2), (2, 3), (3, 3), (1, 5), (4, 2)])
 def test_degrees_are_exact_differences(n, d):
-    # Each row's degree is image dimension minus orbit dimension, taken
+    # Each row's degree is None exactly when the oracle finds the fiber
+    # empty, and otherwise image dimension minus orbit dimension, taken
     # without rounding, so a parity fault would show as an odd degree.
     for report in htop_table(n, d):
-        a = report.orbit
         for dcomp, degree, _ in report.components:
-            if component_nonempty(a, dcomp):
-                assert degree == top_degree(a, dcomp)
-                assert degree >= 0 and degree % 2 == 0
-            else:
-                assert degree is None
+            assert degree == oracle_degree(report.orbit, dcomp), (report.orbit, dcomp)
+            assert degree is None or (degree >= 0 and degree % 2 == 0)
 
 
 def test_htop_totals_all_orbits():
@@ -166,19 +188,21 @@ def test_htop_vanishes_outside_image_closure():
     for a in enumerate_type_c(4):
         report = htop_table(2, 2, a)[0]
         for dcomp, _, mult in report.components:
-            if not component_nonempty(a, dcomp):
+            if oracle_degree(a, dcomp) is None:
                 assert mult == 0
 
 
-def test_htop_report_json_schema():
-    payload = htop_table(2, 2, part("2,1,1"))[0].to_json_dict()
+def test_htop_report_json_schema(capsys):
+    assert main(["htop", "--n", "2", "--d", "2", "--orbit", "2,1,1", "--format", "json"]) == 0
+    [payload] = json.loads(capsys.readouterr().out)
+    assert list(payload) == ["orbit", "contributing", "components", "total"]
     assert payload["orbit"] == "2,1,1"
     assert payload["total"] == 3
     assert payload["contributing"] == [{"rho": "-|1,1", "rho_dual": "-|2", "dim": 3}]
     by_component = {c["d"]: c for c in payload["components"]}
     assert by_component["1,1,0,1,1"] == {"d": "1,1,0,1,1", "degree": 4, "htop": 1}
     assert by_component["0,0,4,0,0"] == {"d": "0,0,4,0,0", "degree": None, "htop": 0}
-    json.dumps(payload)  # must be serializable as-is
+    assert [c["d"] for c in payload["components"]] == list(Q54)
 
 
 def test_htop_input_validation():
@@ -242,9 +266,9 @@ def test_full_table_finds_each_richardson_orbit_once(monkeypatch):
 
 def test_failed_richardson_self_check_raises(monkeypatch):
     monkeypatch.setattr(geometry, "flag_dim", lambda c: 0)
-    with pytest.raises(ArithmeticError, match="self-check failed for 1,1,0,1,1"):
+    with pytest.raises(ArithmeticError, match="^1,1,0,1,1: orbit 4 has dim 8 but"):
         richardson(Q54["1,1,0,1,1"])
-    with pytest.raises(ArithmeticError, match="self-check failed"):
+    with pytest.raises(ArithmeticError, match="but the flag variety has dim 0"):
         htop_table(2, 2)
 
 
