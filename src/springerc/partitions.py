@@ -99,34 +99,19 @@ def enumerate_sym_compositions(n_param: int, big_d: int) -> tuple[SymComposition
 def bounded_compositions(total: int, bounds) -> list[tuple[int, ...]]:
     """All tuples b with 0 <= b[i] <= bounds[i] and sum total, lexicographic-descending.
 
-    Each tuple comes from the previous one by lowering the rightmost entry
-    that can drop by one and refilling the entries after it greedily, so
-    the cost is linear in the size of the output, not in the product of
-    the bounds.
+    The first entry runs down from the most it can hold to the least that
+    leaves the rest able to hold what remains, so no branch is a dead end.
     """
-    length = len(bounds)
-    room = [0] * (length + 1)  # room[i]: the most the entries from i on can hold
-    for i in range(length - 1, -1, -1):
-        room[i] = room[i + 1] + bounds[i]
-    if not 0 <= total <= room[0]:
-        return []
-    out = []
-    current = [0] * length
-    left, start = total, 0
-    while True:
-        for i in range(start, length):
-            current[i] = min(bounds[i], left)
-            left -= current[i]
-        out.append(tuple(current))
-        suffix = 0
-        for i in range(length - 1, -1, -1):
-            if current[i] and suffix < room[i + 1]:
-                break
-            suffix += current[i]
-        else:
-            return out
-        current[i] -= 1
-        left, start = suffix + 1, i + 1
+    if not bounds:
+        return [()] if total == 0 else []
+    if len(bounds) == 1:  # the last entry takes what remains, saving a call per output
+        return [(total,)] if 0 <= total <= bounds[0] else []
+    rest = bounds[1:]
+    return [
+        (first,) + tail
+        for first in range(min(bounds[0], total), max(total - sum(rest), 0) - 1, -1)
+        for tail in bounded_compositions(total - first, rest)
+    ]
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:
@@ -315,32 +300,25 @@ def dominance_leq(a, b) -> bool:
 
 
 def type_c_collapse(p: Partition) -> Partition:
-    """The dominance-greatest type-C partition below p.
+    """The dominance-greatest type-C partition below p (Collingwood-McGovern 6.3.3).
 
-    Repeatedly fixes the largest odd part value with odd multiplicity by
-    moving one box from its last row down to the first lower row where the
-    result is still a partition.  Exhaustive search at small sizes confirms
-    the output is dominance-maximal among type-C partitions of |p|.
+    While some odd value q has odd multiplicity (the largest such q first),
+    lower the last part q by one and raise the first later part below q - 1
+    by one, or append a part 1.  Each step moves one box down, which lowers
+    the partition strictly in dominance order, so the loop ends.  At even
+    size the odd values of odd multiplicity come in pairs, so q >= 3 and no
+    part drops to 0.  Exhaustive search at small sizes confirms the output
+    is dominance-maximal among type-C partitions of |p|.
     """
     size = sum(p)
     if size % 2:
         raise ValueError(f"collapse needs even size, got |{p}| = {size}")
     parts = list(p)
-    for _ in range(size * size + 1):
-        bad = [v for v in set(parts) if v % 2 and parts.count(v) % 2]
-        if not bad:
-            break
-        v = max(bad)
-        j = max(i for i, x in enumerate(parts) if x == v)
-        parts[j] -= 1
-        k = j + 1
-        while k < len(parts) and parts[k] + 1 > parts[k - 1]:
-            k += 1
+    while q := max((v for v in set(parts) if v % 2 and parts.count(v) % 2), default=0):
+        parts[sum(x >= q for x in parts) - 1] -= 1
+        k = sum(x >= q - 1 for x in parts)
         if k == len(parts):
             parts.append(1)
         else:
             parts[k] += 1
-        parts = [x for x in parts if x > 0]
-    else:
-        raise ArithmeticError(f"collapse of {p} did not terminate")
     return Partition(parts)

@@ -639,26 +639,74 @@ def test_richardson_check_can_fail(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "geometry")
     assert code == 1
     assert out == (
-        "FAIL  richardson self-check n=2, 2d=4: 1,1,0,1,1: orbit 4 has dim 8 "
+        "FAIL  geometry engine self-check: 1,1,0,1,1: orbit 4 has dim 8 "
         "but the flag variety has dim 99\n0/1 checks passed\n"
     )
     assert err == ""
 
 
+def _broken_scan(monkeypatch):
+    real = springer._scan
+    monkeypatch.setattr(springer, "_scan", lambda nu: [*real(nu), 1])
+
+
+def _graded_off_by_one(monkeypatch):
+    real = geometry.graded_multiplicities
+
+    def off(n, d, rhos):
+        table = {rho: dict(row) for rho, row in real(n, d, rhos).items()}
+        row = next(iter(table.values()))
+        row[next(iter(row))] += 1
+        return table
+
+    monkeypatch.setattr(geometry, "graded_multiplicities", off)
+
+
+def _idempotent_check_raises(monkeypatch):
+    def raises(acc, dim, order, rho):
+        raise ArithmeticError(f"projector for {rho} is not idempotent at entry (0,0)")
+
+    monkeypatch.setattr(tensor, "_check_idempotent", raises)
+    tensor.scaled_projectors.cache_clear()
+
+
 @pytest.mark.parametrize(
-    "fault,suite,failed",
+    "fault,suite,failed,summary",
     [
-        (_wrong_flag_dim, "geometry", "richardson self-check n=2, 2d=4"),
+        (_wrong_flag_dim, "geometry", "geometry engine self-check: 1,1,0,1,1", "0/1"),
         (
             lambda monkeypatch: _perturb_character_table(monkeypatch, 3),
             "characters",
-            "regular character decomposes",
+            "characters engine self-check: reconstruction mismatch",
+            "18/22",
         ),
-        (_one_degree_dropped, "geometry", "emptiness pattern at n=2, d=2"),
+        (_one_degree_dropped, "geometry", "emptiness pattern at n=2, d=2", "4/5"),
+        (_broken_scan, "springer", "springer engine self-check: scan failed for 2|-", "0/1"),
+        (
+            _graded_off_by_one,
+            "geometry",
+            "geometry engine self-check: graded multiplicities of -|1,1 sum to 2",
+            "3/4",
+        ),
+        (
+            _idempotent_check_raises,
+            "sw",
+            "sw engine self-check: projector for 1|- is not idempotent",
+            "0/1",
+        ),
     ],
-    ids=["flag_dim", "character_table", "htop_table"],
+    ids=[
+        "flag_dim",
+        "character_table",
+        "htop_table",
+        "scan",
+        "graded_multiplicities",
+        "idempotent",
+    ],
 )
-def test_engine_fault_is_a_verify_fail_line(capsys, monkeypatch, fault, suite, failed):
+def test_engine_fault_is_a_verify_fail_line(capsys, monkeypatch, fault, suite, failed, summary):
+    # summary pins how many checks ran: the checks a suite yielded before its
+    # engine raised are kept.
     fault(monkeypatch)
     code, out, err = run(capsys, "verify", suite)
     assert code == 1
@@ -666,7 +714,28 @@ def test_engine_fault_is_a_verify_fail_line(capsys, monkeypatch, fault, suite, f
     assert any(line.startswith(f"FAIL  {failed}") for line in lines)
     passed = sum(line.startswith("ok  ") for line in lines[:-1])
     assert lines[-1] == f"{passed}/{len(lines) - 1} checks passed"
+    assert lines[-1] == f"{summary} checks passed"
     assert passed < len(lines) - 1
+    assert err == ""
+
+
+def test_engine_fault_stops_only_its_suite_in_verify_all(capsys, monkeypatch):
+    # The sw suite ends in its fault line; every other suite prints its own lines.
+    others = [
+        line
+        for suite in verify.SUITES
+        if suite != "sw"
+        for line in run(capsys, "verify", suite)[1].splitlines()[:-1]
+    ]
+    _idempotent_check_raises(monkeypatch)
+    code, out, err = run(capsys, "verify", "all")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[0] == (
+        "FAIL  sw engine self-check: projector for 1|- is not idempotent at entry (0,0)"
+    )
+    assert lines[1:-1] == others
+    assert lines[-1] == f"{len(lines) - 2}/{len(lines) - 1} checks passed"
     assert err == ""
 
 
