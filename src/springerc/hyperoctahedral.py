@@ -19,13 +19,15 @@ untwisted on the second block.  Putting the twist on the first component
 makes ((),(d)) the trivial character and ((d),()) the flip character, which
 is the labelling the Springer map and all golden tables assume.
 
-An induced value at g sums the block character over the a-subsets of
-{1..d} that g maps to themselves (the coset-sum formula).  Those are the
-unions of cycles of g, so the value sums, over the sets S of the class's
-signed cycles of total length a, chi^mu(lengths in S) * (product of signs in
-S) * chi^nu(other lengths); no group element is built.  Coset permutation
-characters count fixed flags from the class's cycles too.  All arithmetic
-is on integers.
+The values follow the Murnaghan-Nakayama rule for signed permutations
+(Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+Algebras, 10.3), which that induction gives: the class's signed cycles are
+added one at a time, each as a rim hook of its length on one of the two
+components, with sign (-1)^(betas jumped), times the cycle's sign when the
+hook goes on the first component.  One cached recursion over a class's
+cycles gives its whole column, keyed by the beta-numbers of both
+components; no group element is built.  Coset permutation characters count
+fixed flags from the class's cycles too.  All arithmetic is on integers.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .limits import CostBoundExceeded
 from .labels import Bipartition, Partition, integers
 from .partitions import enumerate_bipartitions
 
-MAX_CHARACTER_TABLE_RANK = 8  # from cycles, character_table(9) takes about 1.5 s
+MAX_CHARACTER_TABLE_RANK = 8  # column by column, character_table(9) takes about 0.5 s
 
 
 class SignedPermutation(namedtuple("SignedPermutation", "images signs")):
@@ -158,53 +160,45 @@ def class_size(cls: Bipartition) -> int:
     return group_order(cls.size()) // z
 
 
-@lru_cache(maxsize=None)
-def _sym_character_betas(betas: tuple[int, ...], ctype: tuple[int, ...]) -> int:
-    # Murnaghan-Nakayama on beta-numbers: removing a rim hook of length k
-    # moves one beta down by k; the sign counts betas jumped over.
-    if not ctype:
-        return 1
-    k, rest = ctype[0], ctype[1:]
-    total = 0
-    beta_set = set(betas)
-    for b in betas:
-        t = b - k
-        if t < 0 or t in beta_set:
-            continue
-        crossings = sum(1 for x in betas if t < x < b)
-        new = tuple(sorted((beta_set - {b}) | {t}, reverse=True))
-        term = _sym_character_betas(new, rest)
-        total += -term if crossings % 2 else term
-    return total
-
-
-@lru_cache(maxsize=None)
-def sym_group_character(shape: Partition, ctype: tuple[int, ...]) -> int:
-    """Character of the symmetric group irreducible `shape` at class `ctype`."""
-    if shape.size() != sum(ctype):
-        raise ValueError(f"size mismatch: |{shape}| vs |{ctype}|")
-    length = len(shape)
-    betas = tuple(shape[i] + (length - 1 - i) for i in range(length))
-    return _sym_character_betas(betas, ctype)
-
-
 def _signed_cycles(cls: Bipartition) -> tuple:
     """(length, sign) of each cycle of the class, positive cycles first."""
     return tuple((k, 1) for k in cls.first) + tuple((k, -1) for k in cls.second)
 
 
+def _row_key(rho: Bipartition, length: int) -> tuple:
+    """The `length` beta-numbers of each component of rho, decreasing."""
+    padded = (parts + (0,) * (length - len(parts)) for parts in rho)
+    return tuple(tuple(p + length - 1 - i for i, p in enumerate(row)) for row in padded)
+
+
+def _add_hook(betas: tuple, k: int):
+    """(betas, sign) for each way of adding a rim k-hook: one beta moves up
+    by k to a free place, with sign (-1)^(betas jumped)."""
+    for b in betas:
+        t = b + k
+        if t not in betas:
+            moved = tuple(sorted([x for x in betas if x != b] + [t], reverse=True))
+            yield moved, (-1) ** sum(1 for x in betas if b < x < t)
+
+
 @lru_cache(maxsize=None)
-def _cycle_splits(cls: Bipartition, a: int) -> tuple:
-    """(lengths in S, product of signs in S, lengths not in S), lengths
-    decreasing, for each set S of the class's signed cycles of total length a."""
-    cycles = _signed_cycles(cls)
-    splits = []
-    for inside in itertools.product((True, False), repeat=len(cycles)):
-        chosen = sorted((c for c, keep in zip(cycles, inside) if keep), reverse=True)
-        if sum(k for k, _ in chosen) == a:
-            rest = sorted((k for (k, _), keep in zip(cycles, inside) if not keep), reverse=True)
-            splits.append((tuple(k for k, _ in chosen), prod(s for _, s in chosen), tuple(rest)))
-    return tuple(splits)
+def _column(cycles: tuple, length: int) -> dict:
+    """{row key: value} at the class with these signed cycles, for every
+    irreducible of rank sum(k) whose value there is not 0, by the rule in
+    the module docstring.  Callers must not modify the dict."""
+    if not cycles:
+        delta = tuple(range(length - 1, -1, -1))
+        return {(delta, delta): 1}
+    (k, sign), rest = cycles[0], cycles[1:]
+    column = {}
+    for (first, second), value in _column(rest, length).items():
+        for moved, hook_sign in _add_hook(first, k):
+            key = (moved, second)
+            column[key] = column.get(key, 0) + sign * hook_sign * value
+        for moved, hook_sign in _add_hook(second, k):
+            key = (first, moved)
+            column[key] = column.get(key, 0) + hook_sign * value
+    return {key: value for key, value in column.items() if value}
 
 
 def character_value(rho: Bipartition, cls: Bipartition) -> int:
@@ -212,14 +206,7 @@ def character_value(rho: Bipartition, cls: Bipartition) -> int:
     d = rho.size()
     if cls.size() != d:
         raise ValueError(f"size mismatch: |{rho}| = {d} but class has total {cls.size()}")
-    if d == 0:
-        return 1
-    return sum(
-        sym_group_character(rho.first, first)
-        * sign
-        * sym_group_character(rho.second, second)
-        for first, sign, second in _cycle_splits(cls, rho.first.size())
-    )
+    return _column(_signed_cycles(cls), d).get(_row_key(rho, d), 0)
 
 
 class CharacterTable(namedtuple("CharacterTable", "d rows cols values class_sizes")):
@@ -249,8 +236,10 @@ def character_table(d: int) -> CharacterTable:
         raise CostBoundExceeded(f"rank {d} above {MAX_CHARACTER_TABLE_RANK}")
     rows = tuple(enumerate_bipartitions(d))
     cols = tuple(conjugacy_class_labels(d))
+    keys = {rho: _row_key(rho, d) for rho in rows}
+    columns = [(cls, _column(_signed_cycles(cls), d)) for cls in cols]
     values = {
-        (rho, cls): character_value(rho, cls) for rho in rows for cls in cols
+        (rho, cls): column.get(keys[rho], 0) for rho in rows for cls, column in columns
     }
     sizes = {cls: class_size(cls) for cls in cols}
     return CharacterTable(d, rows, cols, values, sizes)

@@ -158,6 +158,36 @@ def block_cycle_types(y, a: int):
     )
 
 
+@lru_cache(maxsize=None)
+def sym_group_character(shape: tuple, ctype: tuple) -> int:
+    """Character of the symmetric group irreducible `shape` at cycle type `ctype`.
+
+    Frobenius: the coefficient of x^(shape + delta) in the Vandermonde
+    determinant prod_{i<j} (x_i - x_j) times the power sums
+    p_k = x_1^k + ... + x_l^k, one per cycle length k, in l = len(shape)
+    variables, delta = (l-1, ..., 1, 0).  The power sums are multiplied out
+    as a dict of exponent tuples; the determinant is the sum over
+    permutations s of sign(s) x^(s(delta)).
+    """
+    assert sum(shape) == sum(ctype), f"size mismatch: {shape} vs {ctype}"
+    n = len(shape)
+    delta = tuple(range(n - 1, -1, -1))
+    power_sums = Counter({(0,) * n: 1})
+    for k in ctype:
+        step = Counter()
+        for exponents, coefficient in power_sums.items():
+            for i in range(n):
+                raised = exponents[:i] + (exponents[i] + k,) + exponents[i + 1 :]
+                step[raised] += coefficient
+        power_sums = step
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        rest = tuple(shape[i] + delta[i] - delta[perm[i]] for i in range(n))
+        total += (-1) ** inversions * power_sums[rest]
+    return total
+
+
 def character_value_by_cosets(rho: Bipartition, cls: Bipartition) -> int:
     """Reference for hyperoctahedral.character_value: the coset-sum formula.
 
@@ -166,11 +196,7 @@ def character_value_by_cosets(rho: Bipartition, cls: Bipartition) -> int:
     per a-subset of 1..d (the order-preserving placement of 1..a onto it,
     all signs positive), keeping the t with t^-1 g t in W_a x W_b.
     """
-    from springerc.hyperoctahedral import (
-        SignedPermutation,
-        class_representative,
-        sym_group_character,
-    )
+    from springerc.hyperoctahedral import SignedPermutation, class_representative
 
     d, a = rho.size(), rho.first.size()
     g = class_representative(cls)

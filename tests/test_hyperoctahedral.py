@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dense import generators
-from oracles import block_cycle_types, character_value_by_cosets, coset_character_by_group
+from oracles import (
+    block_cycle_types,
+    character_value_by_cosets,
+    coset_character_by_group,
+    sym_group_character,
+)
 from springerc import hyperoctahedral
 from springerc.hyperoctahedral import (
     MAX_CHARACTER_TABLE_RANK,
@@ -20,7 +25,6 @@ from springerc.hyperoctahedral import (
     decompose_character,
     group_order,
     iter_group,
-    sym_group_character,
 )
 from springerc.labels import Bipartition, Partition, SymComposition
 from springerc.limits import CostBoundExceeded
@@ -159,12 +163,17 @@ def test_class_sizes_match_enumeration():
 
 
 def test_sym_group_character_against_hooks():
-    # the identity column of the Murnaghan-Nakayama recursion is the
-    # standard-tableaux count
+    # the identity column of the Frobenius oracle is the standard-tableaux
+    # count, and on classes of positive cycles the engine's mu|- column is
+    # the symmetric-group character of mu
     for n in range(1, 7):
         ident = Partition([1] * n)
         for shape in enumerate_partitions(n):
             assert sym_group_character(shape, ident) == num_standard_tableaux(shape)
+            for ctype in enumerate_partitions(n):
+                assert character_value(
+                    Bipartition(shape, Partition()), Bipartition(ctype, Partition())
+                ) == sym_group_character(shape, ctype), (shape, ctype)
     assert sym_group_character(Partition([1, 1]), Partition([2])) == -1
     assert sym_group_character(Partition([2, 1]), Partition([3])) == -1
 
@@ -208,7 +217,8 @@ def test_defining_representation_character():
 
 
 def test_character_value_against_group_sum():
-    # the cycle-subset formula agrees with the full averaging sum
+    # the engine's values are the average of the block character over the
+    # whole group, each block character taken from the Frobenius oracle
     for d in (2, 3):
         elements = list(iter_group(d))
         for rho in enumerate_bipartitions(d):
@@ -268,6 +278,7 @@ def test_character_table_shape_and_orthogonality():
         character_table(MAX_CHARACTER_TABLE_RANK + 1)
     with pytest.raises(ValueError):
         character_table(0)  # no rank-0 table, at any size bound
+    assert character_value(Bipartition.from_string("-|-"), label([], [])) == 1
     with pytest.raises(ValueError):
         character_value(Bipartition.from_string("1|-"), label([1, 1], []))
 
