@@ -8,14 +8,14 @@ and of gl_m modules, Kostka numbers, dominance and the type-C collapse,
 and the Kostka engine for multiplicities graded by flag component, with
 its cost guard check_htop_work.
 
-Every enumeration in this module is lexicographic-descending so repeated
+Every enumeration this module returns is lexicographic-descending so repeated
 runs emit byte-identical tables.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, combinations_with_replacement, count, product
 from math import comb, factorial
 
 from .labels import Bipartition, Partition, SymComposition
@@ -78,11 +78,12 @@ def enumerate_type_c(two_d: int) -> list[Partition]:
 def enumerate_sym_compositions(n_param: int, big_d: int) -> tuple[SymComposition, ...]:
     """All mirror-symmetric compositions of big_d with 2*n_param+1 entries, lex-descending.
 
-    Each is one bounded composition h of big_d/2 into n_param+1 entries: the
-    first n_param are the head, and the last is the slack, half the middle
-    entry.  The head alone fixes the order, so h's lex-descending order is
-    kept and nothing is sorted.  Every multiplicity and report of one htop
-    table walks the same components, so they are built once per
+    Each is one composition h of big_d/2 into n_param+1 entries: the first
+    n_param are the head, and the last is the slack, half the middle entry.
+    The head's partial sums, weakly increasing in 0..big_d/2, come from
+    itertools in lex order, and so do the h; reversed, they are in the
+    table's order, and nothing is sorted.  Every multiplicity and report of
+    one htop table walks the same components, so they are built once per
     (n_param, big_d) and shared as a tuple.
     """
     if big_d % 2:
@@ -90,28 +91,9 @@ def enumerate_sym_compositions(n_param: int, big_d: int) -> tuple[SymComposition
     if n_param < 0:
         raise ValueError("n_param must be nonnegative")
     half = big_d // 2
-    return tuple(
-        SymComposition(h[:-1] + (2 * h[-1],) + h[-2::-1])
-        for h in bounded_compositions(half, (half,) * (n_param + 1))
-    )
-
-
-def bounded_compositions(total: int, bounds) -> list[tuple[int, ...]]:
-    """All tuples b with 0 <= b[i] <= bounds[i] and sum total, lexicographic-descending.
-
-    The first entry runs down from the most it can hold to the least that
-    leaves the rest able to hold what remains, so no branch is a dead end.
-    """
-    if not bounds:
-        return [()] if total == 0 else []
-    if len(bounds) == 1:  # the last entry takes what remains, saving a call per output
-        return [(total,)] if 0 <= total <= bounds[0] else []
-    rest = bounds[1:]
-    return [
-        (first,) + tail
-        for first in range(min(bounds[0], total), max(total - sum(rest), 0) - 1, -1)
-        for tail in bounded_compositions(total - first, rest)
-    ]
+    sums = combinations_with_replacement(range(half + 1), n_param)
+    heads = (tuple(map(int.__sub__, s, (0,) + s)) for s in sums)
+    return tuple(SymComposition(h + (2 * (half - sum(h)),) + h[::-1]) for h in heads)[::-1]
 
 
 def hook_lengths(p: Partition) -> list[list[int]]:
@@ -196,9 +178,10 @@ def _kostka(shape: tuple[int, ...], weight: tuple[int, ...]) -> int:
         return 1
     gaps = [a - b for a, b in zip(shape, shape[1:] + (0,))]
     total = 0
-    for strip in bounded_compositions(weight[-1], gaps):
-        inner = tuple(x for x in (s - r for s, r in zip(shape, strip)) if x)
-        total += _kostka(inner, weight[:-1])
+    for strip in product(*(range(min(g, weight[-1]) + 1) for g in gaps)):
+        if sum(strip) == weight[-1]:
+            inner = tuple(x for x in (s - r for s, r in zip(shape, strip)) if x)
+            total += _kostka(inner, weight[:-1])
     return total
 
 
@@ -257,11 +240,11 @@ def graded_multiplicities(n: int, d: int, labels) -> dict:
         sum over beta of K(mu, alpha) * K(nu, beta),
 
     with K the Kostka number, beta in N^n, beta_i <= w_i, |beta| = |nu| and
-    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  For each
-    component and each |nu| among the labels the betas are enumerated once,
-    with one Kostka row per distinct mu and per distinct nu over them, so
-    each multiplicity is the dot product of two rows.  Only the requested
-    labels are computed.
+    alpha = (w_1 - beta_1, ..., w_n - beta_n, w_mid / 2).  Each component's
+    betas are enumerated once, as the product of the ranges 0..w_i, and
+    grouped by |beta|; each |nu| among the labels takes one Kostka row per
+    distinct mu and per distinct nu over its group, so each multiplicity is
+    the dot product of two rows.  Only the requested labels are computed.
     """
     check_htop_work(n, d)
     table: dict = {}
@@ -274,8 +257,11 @@ def graded_multiplicities(n: int, d: int, labels) -> dict:
     for dcomp in enumerate_sym_compositions(n, 2 * d):
         head = dcomp[:n]
         half_mid = (dcomp[n] // 2,)
+        betas_by_size: dict = {}
+        for b in product(*(range(w + 1) for w in head)):
+            betas_by_size.setdefault(sum(b), []).append(b)
         for k, group in by_size.items():
-            betas = bounded_compositions(k, head)
+            betas = betas_by_size.get(k, [])
             alphas = [_weight_key(tuple(map(int.__sub__, head, b)) + half_mid) for b in betas]
             betas = [_weight_key(b) for b in betas]
             mus = {mu: [_kostka(mu, a) for a in alphas] for mu in {r.first for r in group}}

@@ -6,8 +6,9 @@ component's composition.  Each flag joins a left and a right half of its
 index, each built once with its mirror and its row sums (flag_halves).
 Two joins share the halves: iter_flag_matrices joins their tuples, and
 the tsv writer of write_table their formatted strings.  A single
-component is the flags whose sums equal its entries.  One fixed ceiling,
-MAX_FLAG_CELLS, bounds both the number of flags and the width of a row.
+component is the flags whose sums equal its entries.  Of two fixed ceilings,
+MAX_FLAG_CELLS bounds both the number of flags and the width of a row,
+and MAX_TABLE_CELLS their product, the entries of the whole table.
 
 A component is a SymComposition, the tuple of its entries, so it is
 compared with the row sums directly.  write_table streams: tsv and pretty
@@ -26,6 +27,7 @@ from .labels import SymComposition
 from .limits import CostBoundExceeded
 
 MAX_FLAG_CELLS = 20_000  # bounds the flag count N^d and the width of one flag row
+MAX_TABLE_CELLS = 8_000_000  # bounds N^d * (N + 2d), the entries of the whole table
 
 
 def iter_flag_matrices(n: int, d: int, dcomp: SymComposition | None = None):
@@ -41,7 +43,8 @@ def iter_flag_matrices(n: int, d: int, dcomp: SymComposition | None = None):
     The first d columns range freely over rows 1..N in ascending lex order,
     so the full count is N^d.  MAX_FLAG_CELLS bounds both that count and
     the width of one row (2d columns and N grading entries), so neither
-    corner, d = 0 at large n nor n = 0 at large d, gets through.  Every
+    corner, d = 0 at large n nor n = 0 at large d, gets through, and
+    MAX_TABLE_CELLS bounds the count times the width.  Every
     check runs when this is called, before the first flag is asked for; the
     flags are then built one at a time.
     """
@@ -62,7 +65,8 @@ def flag_halves(n: int, d: int, dcomp: SymComposition | None = None):
     each (letters, mirrored letters reversed, row sums), both in lex order.
     The left halves stream; the shorter right halves are stored, so at d = 1
     no row sums are held twice.  The width is checked first, so N + 2d is at
-    most MAX_FLAG_CELLS and N^d costs a few milliseconds at worst.
+    most MAX_FLAG_CELLS and N^d costs a few milliseconds at worst; their
+    product is checked last.
     """
     if n < 0 or d < 0:
         raise ValueError("n and d must be nonnegative")
@@ -77,6 +81,10 @@ def flag_halves(n: int, d: int, dcomp: SymComposition | None = None):
     if big_n**d > MAX_FLAG_CELLS:
         raise CostBoundExceeded(
             f"tensor space of dimension {big_n}^{d} exceeds the ceiling {MAX_FLAG_CELLS}"
+        )
+    if big_n**d * width > MAX_TABLE_CELLS:
+        raise CostBoundExceeded(
+            f"{big_n}^{d} rows of {width} entries exceed the ceiling {MAX_TABLE_CELLS}"
         )
     return _half_heads(big_n, d - d // 2), list(_half_heads(big_n, d // 2))
 

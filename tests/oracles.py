@@ -283,25 +283,29 @@ def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
     return per_weight
 
 
+_kostka_by_count = lru_cache(maxsize=None)(count_tableaux_with_content)
+
+
 def graded_multiplicity_per_label(rho, n: int, d: int) -> dict:
     """Reference for partitions.graded_multiplicities, one bipartition at a time.
 
     The weight multiplicity sum over beta of K(mu, alpha) * K(nu, beta),
     beta_i <= w_i, |beta| = |nu|, alpha = (w - beta, w_mid / 2), evaluated
     component by component with no rows shared between labels.  Returns
-    {component: multiplicity}.
+    {component: multiplicity}.  The components, the betas and the Kostka
+    numbers (counted tableau by tableau) are all built here, with no engine
+    code.
     """
-    from springerc.partitions import bounded_compositions, enumerate_sym_compositions, kostka
-
     mu, nu = rho.first, rho.second
     per_weight = {}
-    for dcomp in enumerate_sym_compositions(n, 2 * d):
-        head = dcomp[:n]
-        half_mid = (dcomp[n] // 2,)
-        per_weight[dcomp] = sum(
-            kostka(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
-            * kostka(nu, beta)
-            for beta in bounded_compositions(nu.size(), head)
+    for h in _compositions(d, n + 1):
+        head, half_mid = h[:n], h[n:]
+        betas = itertools.product(*(range(w + 1) for w in head))
+        per_weight[head + (2 * h[n],) + head[::-1]] = sum(
+            _kostka_by_count(mu, tuple(w - b for w, b in zip(head, beta)) + half_mid)
+            * _kostka_by_count(nu, beta)
+            for beta in betas
+            if sum(beta) == sum(nu)
         )
     return per_weight
 

@@ -117,11 +117,29 @@ def test_htop_guard_fires_before_enumeration(capsys, monkeypatch):
         assert "ceiling" in err
 
 
-def test_htop_rank_zero_prints_the_empty_orbit(capsys):
-    code, out, err = run(capsys, "htop", "--n", "1", "--d", "0", "--format", "tsv")
+@pytest.mark.parametrize("n", [1, 990])
+def test_htop_rank_zero_prints_the_empty_orbit(capsys, n):
+    # n = 990 has a component of 1,981 entries: no enumeration may recurse per entry.
+    code, out, err = run(capsys, "htop", "--n", str(n), "--d", "0", "--format", "tsv")
     assert code == 0
     assert err == ""
-    assert out == "orbit\tcomponent\tdegree\thtop\torbit_total\n-\t0,0,0\t0\t1\t1\n"
+    zeros = ",".join(["0"] * (2 * n + 1))
+    assert out == f"orbit\tcomponent\tdegree\thtop\torbit_total\n-\t{zeros}\t0\t1\t1\n"
+
+
+def test_htop_runs_a_component_of_a_thousand_entries(capsys):
+    # Rank 1 at n = 500: two orbits over the 501 components of 1,001 entries.
+    code, out, err = run(capsys, "htop", "--n", "500", "--d", "1", "--format", "tsv")
+    assert code == 0
+    assert err == ""
+    rows = [line.split("\t") for line in out.splitlines()]
+    assert len(rows) == 1 + 2 * 501
+    totals: dict = {}
+    for orbit, _, _, htop, total in rows[1:]:
+        totals.setdefault((orbit, int(total)), []).append(int(htop))
+    assert len(totals) == 2
+    for (_, total), column in totals.items():
+        assert sum(column) == total
 
 
 def test_htop_scans_each_label_once(capsys, monkeypatch):
@@ -405,9 +423,10 @@ def test_theta_errors_write_nothing_to_stdout(capsys, argv, expected_code, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
-@pytest.mark.parametrize("n,d", [(1_000_000, 0), (0, 1_000_000)])
+@pytest.mark.parametrize("n,d", [(1_000_000, 0), (0, 1_000_000), (4999, 1)])
 def test_theta_refuses_a_row_wider_than_the_ceiling(capsys, n, d, fmt):
-    # One row, or N^d = 1 rows, but each 2d + 2n + 1 entries wide.
+    # One row, or N^d = 1 rows, but each 2d + 2n + 1 entries wide; or 9,999
+    # rows of 10,001 entries, each within its ceiling but not their product.
     code, out, err = run(capsys, "theta", "--n", str(n), "--d", str(d), "--format", fmt)
     assert code == 2
     assert out == ""

@@ -16,7 +16,6 @@ from oracles import (
 from springerc.labels import Bipartition, Partition, SymComposition
 from springerc.limits import CostBoundExceeded
 from springerc.partitions import (
-    bounded_compositions,
     check_htop_work,
     dominance_leq,
     enumerate_bipartitions,
@@ -129,6 +128,12 @@ def test_largest_admitted_rank_per_n():
         check_htop_work(n, d)
         with pytest.raises(CostBoundExceeded, match="ceiling"):
             check_htop_work(n, d + 1)
+    # The large-n edge, where a component has up to 4,999,999 entries.
+    for n, d in {62: 2, 789: 1, 2_499_999: 0}.items():
+        check_htop_work(n, d)
+        for more in ((n + 1, d), (n, d + 1)):
+            with pytest.raises(CostBoundExceeded, match="ceiling"):
+                check_htop_work(*more)
 
 
 def test_enumerate_bipartitions():
@@ -180,7 +185,16 @@ def test_enumerate_sym_compositions_worked_case():
         enumerate_sym_compositions(2, 3)
     # built once per (n, total) and shared, so callers cannot mutate it
     assert enumerate_sym_compositions(2, 4) is enumerate_sym_compositions(2, 4)
-    assert isinstance(enumerate_sym_compositions(2, 4), tuple)
+    # Against a filtered product: (head, middle) over the whole grid,
+    # mirrored where the total is 2d, sorted descending.
+    for n in range(6):
+        for d in range(7):
+            got = enumerate_sym_compositions(n, 2 * d)
+            assert isinstance(got, tuple)
+            assert all(isinstance(c, SymComposition) for c in got)
+            grid = itertools.product(*[range(d + 1)] * n, range(0, 2 * d + 1, 2))
+            expected = [h + h[-2::-1] for h in grid if 2 * sum(h[:-1]) + h[-1] == 2 * d]
+            assert list(got) == sorted(expected, reverse=True), (n, d)
 
 
 def test_sym_composition_validation():
@@ -329,14 +343,6 @@ def test_kostka_does_not_depend_on_weight_order(case):
     value = kostka(shape, weight)
     assert kostka(shape, tuple(permuted)) == value
     assert count_tableaux_with_content(shape, tuple(permuted)) == value
-
-
-def test_bounded_compositions_match_filtered_product():
-    for bounds in ((), (0,), (2,), (1, 3), (2, 0, 2), (3, 1, 2, 1)):
-        grid = list(itertools.product(*(range(b + 1) for b in bounds)))
-        for total in range(-1, sum(bounds) + 2):
-            expected = sorted((t for t in grid if sum(t) == total), reverse=True)
-            assert bounded_compositions(total, bounds) == expected, (bounds, total)
 
 
 def test_dominance():
