@@ -1,30 +1,13 @@
-"""Command-line interface.
+"""Command-line interface: ``springerc {springer,htop,theta,verify} ...``, read by parse_args.
 
-Subcommands:
-
-* ``springer --d D``: the correspondence table (bipartition, dim, orbit)
-* ``htop --n N --d D [--orbit P]``: predicted top-homology dimensions
-* ``theta --n N --d D [--component C]``: the 0/1 flag matrices with their
-  tensor indices and gradings
-* ``verify [suite]``: run a verification suite (sw, springer, geometry,
-  characters, all)
-
-Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded,
-3 invalid input (a malformed command line included), 4 internal self-check
-failed (a bug, never the input's fault), 141 the reader closed stdout early
-(128 + SIGPIPE, as a shell reports it).  All output is deterministic.
-
-Each process runs one command, so each command imports the modules it
-needs when it runs: ``--help`` loads no engine; ``htop``, ``springer`` and
-``theta`` never load the tensor, group or exact-matrix code; ``theta``
-loads neither the Kostka engine nor the Springer map; each ``verify``
-suite loads its own engines.  No command writes its output a line at a
-time (see _write_blocks).
+Exit codes: 0 success, 1 verification failure, 2 resource bound exceeded, 3 invalid input (a
+malformed command line included), 4 internal self-check failed (a bug, never the input's
+fault), 141 stdout closed, at the start or by the reader (128 + SIGPIPE, as a shell reports
+it).  All output is deterministic; no command writes it a line at a time (see _write_blocks).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -105,16 +88,16 @@ def cmd_springer(args) -> int:
     from .partitions import check_htop_work, enumerate_bipartitions, irr_dim
     from .springer import springer_orbit
 
-    d = args.d
+    d = args["d"]
     if d < 0:
         raise ValueError("--d must be nonnegative")
     check_htop_work(0, d)
     rows = [
         (rho, irr_dim(rho), str(springer_orbit(rho))) for rho in enumerate_bipartitions(d)
     ]
-    if args.format == "json":
+    if args["format"] == "json":
         _print_json([{"label": str(rho), "dim": dim, "orbit": orbit} for rho, dim, orbit in rows])
-    elif args.format == "tsv":
+    elif args["format"] == "tsv":
         table = [[str(rho), str(dim), orbit] for rho, dim, orbit in rows]
         sys.stdout.write(_format_table(["label", "dim", "orbit"], table, "tsv"))
     else:
@@ -131,9 +114,9 @@ def cmd_htop(args) -> int:
     from .geometry import htop_table, orbit_dim
     from .labels import Partition
 
-    orbit = None if args.orbit is None else Partition.from_string(args.orbit)
-    reports = htop_table(args.n, args.d, orbit)
-    if args.format == "json":
+    orbit = None if args["orbit"] is None else Partition.from_string(args["orbit"])
+    reports = htop_table(args["n"], args["d"], orbit)
+    if args["format"] == "json":
         # A named tuple would go to json as an array, so each report is a dict.
         _print_json(
             [
@@ -153,7 +136,7 @@ def cmd_htop(args) -> int:
             ]
         )
         return EXIT_OK
-    if args.format == "tsv":
+    if args["format"] == "tsv":
         header = ["orbit", "component", "degree", "htop", "orbit_total"]
         rows = [
             [str(r.orbit), str(dcomp), _degree(degree), str(mult), str(r.total)]
@@ -184,78 +167,118 @@ def cmd_theta(args) -> int:
     from .labels import SymComposition
     from .theta import write_table
 
-    dcomp = None if args.component is None else SymComposition.from_string(args.component)
-    write_table(args.n, args.d, dcomp, args.format)
+    dcomp = None if args["component"] is None else SymComposition.from_string(args["component"])
+    write_table(args["n"], args["d"], dcomp, args["format"])
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    results = run_suite(args.suite)
+    results = run_suite(args["suite"])
     failed = [r for r in results if not r.ok]
     summary = f"{len(results) - len(failed)}/{len(results)} checks passed\n"
     _write_blocks([*(res.line() + "\n" for res in results), summary])
     return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """A usage error is invalid input, so it exits 3; exit 2 means a resource bound."""
+REQUIRED = object()
+FORMAT = (("json", "tsv", "pretty"), "pretty")
+SUITES = ("sw", "springer", "geometry", "characters", "all")  # so --help compiles no verify.py
+N_D = {"--n": (int, REQUIRED), "--d": (int, REQUIRED)}
+# {command: (summary, {argument: (int, str or its choices; default or REQUIRED)})}.  An argument
+# named without "--" is a positional, and so is the command itself (TOP).
+COMMANDS = {
+    "springer": ("the correspondence table", {"--d": (int, REQUIRED), "--format": FORMAT}),
+    "htop": ("top homology by orbit", {**N_D, "--orbit": (str, None), "--format": FORMAT}),
+    "theta": ("the 0/1 flag matrices", {**N_D, "--component": (str, None), "--format": FORMAT}),
+    "verify": ("run verification suites", {"suite": (SUITES, "all")}),
+}
+TOP = {"command": (tuple(COMMANDS), REQUIRED)}
+HELP = ("-h", "--help")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
-    def _get_values(self, action, arg_strings):
-        value = super()._get_values(action, arg_strings)
-        if action.nargs is None and isinstance(value, list):
-            # `--d=--`: argparse drops the "--" and would pass on an empty list.
-            raise argparse.ArgumentError(action, "expected one argument")
-        return value
+def _exit(command, error=None):
+    """Help and exit 0, or the usage and the error on stderr and exit 3 (2 is a resource bound)."""
+    words = [f"usage: springerc {command or ''}".rstrip(), "[-h]"]
+    for name, (kind, default) in (COMMANDS[command][1] if command else TOP).items():
+        word = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else name[2:].upper()
+        word = f"{name} {word}" if name[0] == "-" else word
+        words.append(word if default is REQUIRED else f"[{word}]")
+    rows = "\n".join(f"  {name:<9} {summary}" for name, (summary, _) in COMMANDS.items())
+    text = f"springerc: error: {error}" if error else COMMANDS[command][0] if command else rows
+    print(" ".join(words), text, sep="\n", file=sys.stderr if error else sys.stdout, flush=True)
+    raise SystemExit(EXIT_BAD_INPUT if error else EXIT_OK)  # flushed: a gone reader raises in main
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="springerc",
-        description="Exact top Borel-Moore homology dimensions of type-C partial Springer fibers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _read(command, token, names):
+    """None for a value, else (the option named, or None if unknown; the value attached)."""
+    if token == "--" or token[:2] == "-h":  # -h takes the rest of its token
+        return token[:2], token[3:] if token[2:3] == "=" else token[2:] or None
+    if token[:1] != "-" or token == "-":
+        return None
+    prefix, eq, attached = token.partition("=")
+    hits = [name for name in names if name.startswith(prefix)] if token[1] == "-" else []
+    if len(hits) > 1:
+        _exit(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], attached if eq else None
+    import re  # an unknown option is a value if it looks like a negative number or holds a space
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token else (None, token)
 
-    p = sub.add_parser("springer", help="print the correspondence table")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.set_defaults(func=cmd_springer)
 
-    p = sub.add_parser("htop", help="predicted top-homology dimensions per orbit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--orbit", help="restrict to one type-C partition, e.g. 2,1,1")
-    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.set_defaults(func=cmd_htop)
+def parse_args(argv) -> tuple:
+    """(command, {argument: value}) from a command line.
 
-    p = sub.add_parser("theta", help="list the coordinate-flag 0/1 matrices")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--component", help="restrict to one component, e.g. 0,0,4,0,0")
-    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.set_defaults(func=cmd_theta)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument(
-        "suite",
-        nargs="?",
-        default="all",
-        choices=("sw", "springer", "geometry", "characters", "all"),
-    )
-    p.set_defaults(func=cmd_verify)
-
-    return parser
+    ``--opt value``, ``--opt=value`` or a unique prefix of ``--opt``; negative numbers and
+    ``-`` are values, ``--`` ends the options, and the last repeat wins, as in the parser
+    tests/oracles.py keeps.  Help exits 0 and a usage error 3, by SystemExit, at the token
+    that shows it; a missing option or an unknown token is refused at the end.
+    """
+    command, spec, args, free, extras, i = None, TOP, {"command": REQUIRED}, ["command"], [], 0
+    read = [None if token == "--" else _read(None, token, HELP) for token in argv]
+    while i < len(argv):
+        token, option = argv[i], read[i]
+        name, text = option or (free.pop() if free else None, token)  # free: unfilled positionals
+        i += 1
+        if name is None:
+            extras.append(token)
+        elif name in HELP:  # -hh is -h twice; any other value attached to help is refused
+            attached = text is not None and (name == "--help" or not text or text.strip("h"))
+            _exit(command, f"{name} takes no value" if attached else None)
+        elif option and name in spec and text is None and i < len(argv) and read[i] is None:
+            text, i = argv[i], i + 1
+        if name in spec:
+            if option and text in (None, "--"):
+                _exit(command, f"{name} takes one value")
+            kind = spec[name][0]
+            try:  # tuple.index raises ValueError for a value that is none of the choices
+                args[name] = kind[kind.index(text)] if isinstance(kind, tuple) else kind(text)
+            except ValueError:
+                _exit(command, f"{name}: invalid value {text!r}")
+        if name == "command":
+            command, spec = text, COMMANDS[text][1]
+            args = {name: default for name, (_, default) in spec.items()}
+            free = [name for name in spec if name[0] != "-"]
+            # All the command's tokens are read first, so an ambiguous prefix is refused first;
+            # after "--" each is a value, as is "--" itself unless a positional can take one.
+            dash = argv.index("--", i) if "--" in argv[i:] else len(argv)
+            read[i:] = [_read(command, t, (*HELP, *spec)) for t in argv[i : dash + bool(free)]]
+            read += [None] * (len(argv) - len(read))
+    missing = [name for name, value in args.items() if value is REQUIRED]
+    if missing or extras:
+        _exit(command, f"missing {' '.join(missing)}" if missing else f"unrecognized {extras}")
+    return command, {name.lstrip("-"): value for name, value in args.items()}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if sys.stdout is None:  # started with stdout closed, as by `springerc verify >&-`
+        return EXIT_BROKEN_PIPE
+    sys.stderr = sys.stderr or open(os.devnull, "w")  # else print(file=None) writes to stdout
+    run = {"springer": cmd_springer, "htop": cmd_htop, "theta": cmd_theta, "verify": cmd_verify}
     try:
-        status = args.func(args)
+        command, args = parse_args(sys.argv[1:] if argv is None else list(argv))
+        status = run[command](args)
         sys.stdout.flush()
         return status
     except BrokenPipeError:

@@ -1,12 +1,15 @@
 """Brute-force oracles kept independent of the library code paths."""
 
+import argparse
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
+from springerc.cli import EXIT_BAD_INPUT, cmd_htop, cmd_springer, cmd_theta, cmd_verify
 from springerc.labels import Bipartition, Partition
 
 
@@ -467,3 +470,58 @@ def theta_table(n: int, d: int, fmt: str, component=None) -> str:
             lines.append("  " + " ".join("1" if r == i else "0" for r in c))
     lines.append(f"count {len(rows)}")
     return "\n".join(lines) + "\n"
+
+
+# The command-line parser springerc used before it read its own command
+# line: the reference that cli.parse_args must agree with.
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input, so it exits 3; exit 2 means a resource bound."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+    def _get_values(self, action, arg_strings):
+        value = super()._get_values(action, arg_strings)
+        if action.nargs is None and isinstance(value, list):
+            # `--d=--`: argparse drops the "--" and would pass on an empty list.
+            raise argparse.ArgumentError(action, "expected one argument")
+        return value
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="springerc",
+        description="Exact top Borel-Moore homology dimensions of type-C partial Springer fibers",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("springer", help="print the correspondence table")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
+    p.set_defaults(func=cmd_springer)
+
+    p = sub.add_parser("htop", help="predicted top-homology dimensions per orbit")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--orbit", help="restrict to one type-C partition, e.g. 2,1,1")
+    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
+    p.set_defaults(func=cmd_htop)
+
+    p = sub.add_parser("theta", help="list the coordinate-flag 0/1 matrices")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--component", help="restrict to one component, e.g. 0,0,4,0,0")
+    p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
+    p.set_defaults(func=cmd_theta)
+
+    p = sub.add_parser("verify", help="run a verification suite")
+    p.add_argument(
+        "suite",
+        nargs="?",
+        default="all",
+        choices=("sw", "springer", "geometry", "characters", "all"),
+    )
+    p.set_defaults(func=cmd_verify)
+
+    return parser

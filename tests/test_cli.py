@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import hashlib
 import io
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import theta_table
+from oracles import build_parser, theta_table
 from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor, verify
 from springerc.cli import main
 from springerc.partitions import enumerate_bipartitions
@@ -200,7 +199,7 @@ def test_no_command_has_a_cell_ceiling_option(capsys, command):
         ([], 3),
         (["--help"], 0),
         (["theta", "--help"], 0),
-        # argparse drops a "--" value and would pass an empty list on.
+        # "--" attached to an option is not a value.
         (["springer", "--d=--"], 3),
         (["htop", "--n", "1", "--d", "2", "--orbit=--"], 3),
         (["theta", "--n", "1", "--d", "1", "--format=--"], 3),
@@ -443,16 +442,20 @@ def test_theta_refuses_a_huge_power_at_once(capsys):
     assert "3^9998" in err
 
 
+def springerc_env():
+    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 @pytest.mark.parametrize("fmt", ["tsv", "pretty", "json"])
 def test_a_reader_that_stops_early_gets_exit_141(fmt):
     # As `springerc theta ... | head -1`: the pipe closes after one line,
     # while the writer still has most of 16,807 rows to write.
-    path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.Popen(
         [sys.executable, "-m", "springerc", "theta", "--n", "3", "--d", "5", "--format", fmt],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+        env=springerc_env(),
     )
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -461,12 +464,72 @@ def test_a_reader_that_stops_early_gets_exit_141(fmt):
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["htop", "--n", "1", "--d", "2"],
+        ["springer", "--d", "2"],
+        ["theta", "--n", "1", "--d", "1"],
+        ["verify", "all"],
+        ["htop", "--bogus"],
+    ],
+)
+def test_a_closed_stdout_gets_exit_141(argv):
+    # As `springerc verify all >&-`: the process starts with no stdout at all,
+    # so it exits as if its reader had gone, before it reads its command line.
+    proc = subprocess.run(
+        [sys.executable, "-m", "springerc", *argv],
+        stderr=subprocess.PIPE,
+        env=springerc_env(),
+        preexec_fn=lambda: os.close(1),
+        timeout=120,
+    )
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["htop", "-h"], ["verify", "springer"]])
+def test_a_pipe_with_no_reader_gets_exit_141(argv):
+    # The reader is gone before the first write, help included.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "springerc", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=springerc_env(),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv,code", [(["htop", "--bogus"], 3), (["htop", "--n", "9", "--d", "9"], 2)]
+)
+def test_a_closed_stderr_keeps_the_exit_code_and_stdout_empty(argv, code):
+    # As `springerc htop --bogus 2>&-`: the message is dropped, not written to stdout.
+    proc = subprocess.run(
+        [sys.executable, "-m", "springerc", *argv],
+        stdout=subprocess.PIPE,
+        env=springerc_env(),
+        preexec_fn=lambda: os.close(2),
+        timeout=120,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == b""
+
+
 def exit_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
+        except SystemExit as exc:  # the command line is refused
             code = exc.code
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
@@ -536,10 +599,107 @@ VERIFY_SUITES = sorted({*verify.SUITES, "all"})
 def test_verify_choices_name_the_suites():
     # `--help` must not compile verify.py, so cli keeps its own list of
     # the suites; it has to name exactly the ones verify runs.
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
-    assert set(suite.choices) == set(VERIFY_SUITES)
+    _, arguments = cli.COMMANDS["verify"]
+    choices, default = arguments["suite"]
+    assert set(choices) == set(VERIFY_SUITES)
+    assert default == "all"
+
+
+def parse_outcome(parse, argv):
+    """(exit code, or None with the parsed command and values; stdout; stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = None, parse(list(argv))
+        except SystemExit as exc:
+            outcome = exc.code, None
+    return outcome, out.getvalue(), err.getvalue()
+
+
+def argparse_parse(argv):
+    values = vars(build_parser().parse_args(argv))
+    del values["func"]
+    return values.pop("command"), values
+
+
+def assert_parses_as_argparse(argv):
+    expected, _, _ = parse_outcome(argparse_parse, argv)
+    outcome, out, err = parse_outcome(cli.parse_args, argv)
+    assert outcome == expected
+    code, _ = outcome
+    if code == 0:
+        assert out.startswith("usage: springerc") and err == ""
+    elif code is not None:
+        assert code == 3
+        assert out == "" and err.startswith("usage: springerc")
+
+
+COMMAND_NAMES = ["springer", "htop", "theta", "verify"]
+TOKENS = [
+    *COMMAND_NAMES, "nosuch", "--n", "--d", "--orbit", "--component", "--format",
+    "--o", "--or", "--f", "--form", "--c", "--comp", "--no", "---",
+    "-h", "--help", "--h", "--he", "-hh", "-hx", "-h=h", "-h=", "--help=x",
+    "--n=2", "--d=1", "--d=-3", "--d=", "--d=--", "--orbit=--", "--=3",
+    "--f=tsv", "--format=json", "--o=2,1,1", "--component=1,0,1",
+    "1", "2", "-3", "-0", "+3", "-", "--", "2,1,1", "0,0,4,0,0",
+    "json", "tsv", "pretty", "sw", "springer", "geometry", "all",
+    "x", "", "--bogus", "-x", "-1.5", "a b", "-x y", "--n 3", " -3",
+]
+# Drawn as often as all of TOKENS, so that many lines are accepted or fail late.
+OFTEN = [
+    ["--n", "2"], ["--d", "1"], ["--d", "-3"], ["--format", "tsv"], ["--f", "json"],
+    ["--orbit", "2,1,1"], ["--o", "-"], ["--component", "1,2,1"], ["--c", "-3"],
+    ["sw"], ["--"], ["-h"], ["--=3"], ["--bogus"],
+]
+CHUNK = st.one_of(st.sampled_from(TOKENS).map(lambda token: [token]), st.sampled_from(OFTEN))
+COMMAND_LINES = [
+    *([command] for command in COMMAND_NAMES),
+    ["springer", "--d", "2"], ["htop", "--n", "1", "--d", "2"], ["theta", "--d=1", "--n", "-0"],
+]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(
+    argv=st.one_of(
+        st.lists(CHUNK, max_size=6).map(lambda chunks: sum(chunks, [])),
+        st.tuples(
+            st.lists(CHUNK, max_size=1), st.sampled_from(COMMAND_LINES), st.lists(CHUNK, max_size=4)
+        ).map(lambda t: sum(t[0], []) + t[1] + sum(t[2], [])),
+    )
+)
+def test_parser_agrees_with_argparse(argv):
+    # The same accept or reject, exit code and values as the argparse parser
+    # springerc used before; only the wording of help and errors may differ.
+    assert_parses_as_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--", "sw"], ["verify", "sw", "--"], ["verify", "--"], ["verify", "--", "--"],
+        ["verify", "sw", "--", "--"], ["verify", "-h=hh"], ["verify", "bogus", "-h"],
+        ["verify", "-h", "bogus"], ["verify", "--x", "sw", "bogus", "-h"], ["htop", "-h", "--=3"],
+        ["springer", "--d", "3", "--"], ["springer", "--d", "--", "3"], ["springer", "--d=-0"],
+        ["springer", "--d", "-3\n"], ["springer", "--d", "٣"], ["springer", "--d", " 3_0 "],
+        ["htop", "--n", "1", "--d", "1", "--orbit", "--a b"], ["--bogus", "htop", "-h"],
+        ["--", "htop"], ["-h", "--", "htop"], ["--h", "htop"], ["-hfoo"], ["--=x", "htop"],
+        ["htop", "--n", "1", "--d", "1", "--orbit", "--n=x y"], ["theta", "--c"],
+    ],
+)
+def test_parser_agrees_with_argparse_on_edge_cases(argv):
+    assert_parses_as_argparse(argv)
+
+
+@pytest.mark.parametrize("prefix", [[], *([command] for command in COMMAND_NAMES)])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_0_with_the_usage_on_stdout(capsys, prefix, flag):
+    # perfbench/run.py counts a --help whose first line is anything else as failed.
+    with pytest.raises(SystemExit) as exc:
+        main([*prefix, flag])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 0
+    assert out.startswith("usage: springerc")
+    assert err == ""
 
 
 @pytest.mark.parametrize("suite", VERIFY_SUITES)

@@ -166,6 +166,24 @@ def test_commands_load_no_dataclasses(argv):
     assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--help",),
+        ("htop", "--n", "2", "--d", "2", "--format", "json"),
+        ("springer", "--d", "4"),
+        ("theta", "--n", "1", "--d", "2", "--format", "tsv"),
+        *(("verify", suite) for suite in VERIFY_SUITES),
+    ],
+)
+def test_commands_load_no_argparse(argv):
+    # argparse, with the gettext and locale it imports, cost every command
+    # about 5 ms and up to 0.5 MB of max RSS; the command line needs none of it.
+    loaded, _ = run_fresh(*argv)
+    heavy = {"argparse", "gettext", "locale"}
+    assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
+
+
 def test_verify_springer_loads_no_json():
     loaded, _ = run_fresh("verify", "springer")
     assert "json" not in loaded
