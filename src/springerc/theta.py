@@ -13,8 +13,8 @@ and MAX_TABLE_CELLS their product, the entries of the whole table.
 A component is a SymComposition, the tuple of its entries, so it is
 compared with the row sums directly.  write_table streams: tsv and pretty
 rows are written as the flags are built, a block at a time, so both take
-constant memory.  It takes the CLI's writers when it runs, so importing
-this module loads no command-line code.
+constant memory.  It takes its writers from the tables module when it
+runs, so importing this module loads neither the CLI nor those writers.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _half_heads(big_n: int, length: int):
 
 def write_table(n: int, d: int, dcomp: SymComposition | None, fmt: str) -> None:
     """Write the `theta` table of the flags (of one component, if given) to stdout."""
-    from .cli import _print_json, _write_blocks
+    from .tables import _print_json, _write_blocks
 
     big_n = 2 * n + 1
     # Every check runs here, before the first byte of output.

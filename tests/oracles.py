@@ -9,8 +9,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
-from springerc.cli import EXIT_BAD_INPUT, cmd_htop, cmd_springer, cmd_theta, cmd_verify
+from springerc.cli import EXIT_BAD_INPUT, cmd_verify
 from springerc.labels import Bipartition, Partition
+from springerc.tables import cmd_htop, cmd_springer, cmd_theta
 
 
 @lru_cache(maxsize=None)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import build_parser, theta_table
-from springerc import cli, geometry, hyperoctahedral, partitions, springer, tensor, verify
+from springerc import cli, geometry, hyperoctahedral, partitions, springer, tables, tensor, verify
 from springerc.cli import main
 from springerc.partitions import enumerate_bipartitions
 
@@ -380,7 +380,47 @@ def test_theta_bounds_each_write_by_characters(monkeypatch):
     assert len(rows) == 603
     widest = max(map(len, rows))
     assert len(sink.writes) > 1
-    assert max(map(len, sink.writes)) <= cli.WRITE_CHARS + widest
+    assert max(map(len, sink.writes)) <= tables.WRITE_CHARS + widest
+
+
+def test_theta_json_bounds_each_write_by_characters(monkeypatch):
+    # Each flag's record is about 1.3 KB, and the json writer yields a record
+    # at a time, so a block closes at the record that brings it to WRITE_CHARS.
+    sink = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["theta", "--n", "300", "--d", "1", "--format", "json"]) == 0
+    text = "".join(sink.writes)
+    assert json.loads(text)["count"] == 601
+    widest = max(map(len, text.split("},")))
+    assert len(sink.writes) > 1
+    assert max(map(len, sink.writes)) <= tables.WRITE_CHARS + widest
+
+
+JSON_TEXT = st.one_of(
+    st.from_regex(r"[0-9,|-]*", fullmatch=True),  # shaped like the labels the tables write
+    st.text(st.sampled_from('"\\/\x00\x08\t\n\x0c\r\x1f\x7f\x80 aé\u2028\ud800\U0001f600')),
+    st.text(st.characters(exclude_categories=())),  # surrogates included
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | JSON_TEXT,
+    lambda items: st.lists(items, max_size=4) | st.dictionaries(JSON_TEXT, items, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_pieces_join_to_json_dumps(value):
+    # The stdlib json is the oracle only; no command loads it.
+    assert "".join(tables._json_pieces(value)) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), [{"a": [0.0]}], {1: 2}, {None: 0}, [b"x"]])
+def test_json_pieces_refuse_what_json_would_write_otherwise(value):
+    # json.dumps writes these as something else (a tuple as a list, a key as a
+    # string); the tables never hold them, so they are refused.
+    with pytest.raises(TypeError):
+        "".join(tables._json_pieces(value))
 
 
 @pytest.mark.parametrize(
@@ -396,7 +436,7 @@ def test_htop_pretty_and_verify_write_blocks(monkeypatch, argv):
     lines = text.count("\n")
     assert lines > 40 and text.endswith("\n")
     # Every write but the last holds at least WRITE_CHARS characters.
-    assert len(sink.writes) <= len(text) // cli.WRITE_CHARS + 1
+    assert len(sink.writes) <= len(text) // tables.WRITE_CHARS + 1
 
 
 @pytest.mark.parametrize("fmt", ["tsv", "json", "pretty"])
@@ -522,6 +562,33 @@ def test_a_closed_stderr_keeps_the_exit_code_and_stdout_empty(argv, code):
     )
     assert proc.returncode == code
     assert proc.stdout == b""
+
+
+class BrokenStream:
+    """A stream whose every write fails, as a stderr the shell closed under a pyenv shim."""
+
+    def write(self, *args):
+        raise OSError(9, "Bad file descriptor")
+
+    flush = write
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["htop", "--bogus"], 3),
+        (["htop", "--n", "9", "--d", "9"], 2),
+        (["springer", "--d", "-1"], 3),
+    ],
+)
+def test_a_broken_stderr_keeps_the_exit_code_and_stdout_empty(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "stderr", BrokenStream())
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # the command line is refused
+        status = exc.code
+    assert status == code
+    assert capsys.readouterr().out == ""
 
 
 def exit_cleanly(argv):

@@ -104,6 +104,8 @@ def test_each_command_loads_its_readme_row(argv):
     row = readme_import_table()[" ".join(argv[:2]) if argv[0] == "verify" else argv[0]]
     loaded, _ = run_fresh(*argv)
     assert own(loaded) == BASE | {f"springerc.{name}" for name in row}
+    # Only the table commands compile the table writers.
+    assert ("springerc.tables" in loaded) == (argv[0] != "verify")
 
 
 def test_readme_import_table_has_every_command():
@@ -117,7 +119,7 @@ def test_library_modules_load_no_command_line_code(module):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert module in loaded
-    assert loaded.isdisjoint({"springerc.cli", "argparse"})
+    assert loaded.isdisjoint({"springerc.cli", "springerc.tables", "argparse"})
 
 
 def test_help_loads_only_the_parser():
@@ -184,8 +186,19 @@ def test_commands_load_no_argparse(argv):
     assert loaded.isdisjoint(heavy), sorted(loaded & heavy)
 
 
-def test_verify_springer_loads_no_json():
-    loaded, _ = run_fresh("verify", "springer")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("--help",), id="help"),
+        pytest.param(("htop", "--n", "2", "--d", "2", "--format", "json"), id="htop_json"),
+        pytest.param(("springer", "--d", "4", "--format", "json"), id="springer_json"),
+        pytest.param(("theta", "--n", "1", "--d", "2", "--format", "json"), id="theta_json"),
+        pytest.param(("verify", "all"), id="verify_all"),
+    ],
+)
+def test_commands_load_no_json(argv):
+    # The tables write json text themselves (tables._json_pieces).
+    loaded, _ = run_fresh(*argv)
     assert "json" not in loaded
 
 
