@@ -153,7 +153,3 @@ def main(argv=None) -> int:
     except OSError:  # a broken stderr changes no exit code
         pass
     return status
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
