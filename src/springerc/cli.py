@@ -89,7 +89,11 @@ def parse_args(argv) -> tuple:
     that shows it; a missing option or an unknown token is refused at the end.
     """
     command, spec, args, free, extras, i = None, TOP, {"command": REQUIRED}, ["command"], [], 0
-    read = [None if token == "--" else _read(None, token, HELP) for token in argv]
+    read = []
+    for token in argv:  # up to the command, whose options read the tokens after it
+        read.append(None if token == "--" else _read(None, token, HELP))
+        if read[-1] is None:
+            break
     while i < len(argv):
         token, option = argv[i], read[i]
         name, text = option or (free.pop() if free else None, token)  # free: unfilled positionals

@@ -1,9 +1,8 @@
 """Signed permutations of rank d, their classes, and exact characters.
 
-An element is a pair (perm, signs): perm is a bijection of {1..d} and
-signs[k] is the +-1 attached to letter k+1, with the wreath-product law
-
-    (p1, s1) * (p2, s2) = (p1 o p2, k |-> s1(p2(k)) * s2(k)).
+An element is a pair of tuples (images, signs): images is a bijection of
+{1..d} and signs[k] is the +-1 attached to letter k+1.  The group law lives
+with the tests (tests/oracles.py); no command multiplies two elements.
 
 Conjugacy classes are indexed by signed cycle types: a cycle is positive or
 negative according to the product of the signs along it, giving a
@@ -35,101 +34,42 @@ from __future__ import annotations
 import itertools
 from collections import Counter, namedtuple
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .limits import CostBoundExceeded
-from .labels import Bipartition, Partition, integers
+from .labels import Bipartition, Partition
 from .partitions import enumerate_bipartitions
 
 MAX_CHARACTER_TABLE_RANK = 8  # column by column, character_table(9) takes about 0.5 s
 
 
-class SignedPermutation(namedtuple("SignedPermutation", "images signs")):
-    """A signed permutation of {1..d}."""
-
-    __slots__ = ()
-
-    def __new__(cls, images, signs):
-        images = integers(images, "image")
-        signs = integers(signs, "sign")
-        d = len(images)
-        if sorted(images) != list(range(1, d + 1)):
-            raise ValueError(f"not a permutation of 1..{d}: {images}")
-        if len(signs) != d or any(s not in (1, -1) for s in signs):
-            raise ValueError(f"signs must be +-1 of length {d}: {signs}")
-        return super().__new__(cls, images, signs)
-
-    @property
-    def d(self) -> int:
-        return len(self.images)
-
-    @classmethod
-    def identity(cls, d: int) -> "SignedPermutation":
-        return cls(range(1, d + 1), (1,) * d)
-
-    def window(self) -> tuple[int, ...]:
-        return tuple(im * s for im, s in zip(self.images, self.signs))
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        if self.d != other.d:
-            raise ValueError(f"rank mismatch: {self.d} vs {other.d}")
-        images = tuple(self.images[j - 1] for j in other.images)
-        signs = tuple(
-            self.signs[other.images[k] - 1] * other.signs[k] for k in range(self.d)
-        )
-        return SignedPermutation(images, signs)
-
-    def inverse(self) -> "SignedPermutation":
-        # The letters k in the order of their images: the k sent to j is j-th.
-        order = sorted(range(self.d), key=self.images.__getitem__)
-        return SignedPermutation([k + 1 for k in order], [self.signs[k] for k in order])
-
-    def flip_character(self) -> int:
-        """delta(w) = (-1)^(number of sign flips), a linear character."""
-        return prod(self.signs)
-
-    def perm_sign(self) -> int:
-        """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
-        return (-1) ** (self.d - sum(1 for _ in _cycles(self)))
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation({list(self.window())})"
-
-
 def iter_group(d: int):
-    """All 2^d * d! elements in a fixed deterministic order."""
+    """All 2^d * d! elements (images, signs) in a fixed deterministic order."""
     for images in itertools.permutations(range(1, d + 1)):
         for signs in itertools.product((1, -1), repeat=d):
-            yield SignedPermutation(images, signs)
+            yield images, signs
 
 
 def group_order(d: int) -> int:
     return (2**d) * factorial(d)
 
 
-def _cycles(w: SignedPermutation):
-    """(first letter, length, sign) of each cycle of w, by first letter.
-
-    A cycle's sign is the product of the signs along it.
-    """
-    seen = [False] * w.d
-    for start in range(1, w.d + 1):
-        if seen[start - 1]:
-            continue
+def cycle_type(w) -> Bipartition:
+    """Signed cycle type pos|neg of w = (images, signs): the lengths of its
+    positive and negative cycles, a cycle's sign being the product of the
+    signs along it."""
+    images, signs = w
+    pos, neg = [], []
+    seen = [False] * len(images)
+    for start in range(1, len(images) + 1):
         length, sign, k = 0, 1, start
         while not seen[k - 1]:
             seen[k - 1] = True
-            sign *= w.signs[k - 1]
+            sign *= signs[k - 1]
             length += 1
-            k = w.images[k - 1]
-        yield start, length, sign
-
-
-def cycle_type(w: SignedPermutation) -> Bipartition:
-    """Signed cycle type pos|neg: the lengths of the positive and negative cycles."""
-    pos, neg = [], []
-    for _start, length, sign in _cycles(w):
-        (pos if sign == 1 else neg).append(length)
+            k = images[k - 1]
+        if length:
+            (pos if sign == 1 else neg).append(length)
     return Bipartition(
         Partition(sorted(pos, reverse=True)), Partition(sorted(neg, reverse=True))
     )
@@ -140,15 +80,15 @@ def conjugacy_class_labels(d: int) -> list[Bipartition]:
     return sorted(enumerate_bipartitions(d))
 
 
-def class_representative(cls: Bipartition) -> SignedPermutation:
-    """Canonical representative: consecutive cycles, one flip per negative cycle."""
+def class_representative(cls: Bipartition) -> tuple:
+    """Canonical (images, signs): consecutive cycles, one flip per negative cycle."""
     images, signs = [], []
     for parts, sign in ((cls.first, 1), (cls.second, -1)):
         for length in parts:
             start = len(images) + 1
             images += [*range(start + 1, start + length), start]
             signs += [1] * (length - 1) + [sign]
-    return SignedPermutation(images, signs)
+    return tuple(images), tuple(signs)
 
 
 def class_size(cls: Bipartition) -> int:
@@ -199,14 +139,6 @@ def _column(cycles: tuple, length: int) -> dict:
             key = (first, moved)
             column[key] = column.get(key, 0) + hook_sign * value
     return {key: value for key, value in column.items() if value}
-
-
-def character_value(rho: Bipartition, cls: Bipartition) -> int:
-    """Exact character value of the irreducible `rho` at the class `cls`."""
-    d = rho.size()
-    if cls.size() != d:
-        raise ValueError(f"size mismatch: |{rho}| = {d} but class has total {cls.size()}")
-    return _column(_signed_cycles(cls), d).get(_row_key(rho, d), 0)
 
 
 class CharacterTable(namedtuple("CharacterTable", "d rows cols values class_sizes")):

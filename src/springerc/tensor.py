@@ -35,7 +35,7 @@ import itertools
 from functools import lru_cache
 
 from .exact import _row_times, _sparse_rows
-from .hyperoctahedral import SignedPermutation, character_table, cycle_type, group_order, iter_group
+from .hyperoctahedral import character_table, cycle_type, group_order, iter_group
 from .limits import CostBoundExceeded
 from .labels import Bipartition
 from .partitions import bipartition_counts, enumerate_bipartitions, irr_dim
@@ -55,23 +55,25 @@ def basis_positions(n: int, d: int) -> dict:
     return {t: i for i, t in enumerate(tensor_basis(n, d))}
 
 
-def _apply_swap(w: SignedPermutation, t: tuple[int, ...], big_n: int) -> tuple[int, ...]:
+def _apply_swap(w: tuple, t: tuple[int, ...], big_n: int) -> tuple[int, ...]:
+    images, signs = w
     out = [0] * len(t)
     for k, v in enumerate(t):
-        if w.signs[k] < 0:
+        if signs[k] < 0:
             v = big_n + 1 - v
-        out[w.images[k] - 1] = v
+        out[images[k] - 1] = v
     return tuple(out)
 
 
-def w_action_monomial(w: SignedPermutation, n: int, d: int) -> tuple[list[int], list[int]]:
-    """The action as a basis permutation with signs.
+def w_action_monomial(w: tuple, n: int, d: int) -> tuple[list[int], list[int]]:
+    """The action of w = (images, signs) as a basis permutation with signs.
 
     Returns (target, coeff): basis position p maps to position target[p]
     with scalar coeff[p].
     """
-    if w.d != d:
-        raise ValueError(f"element of rank {w.d} cannot act on {d} tensor slots")
+    images, signs = w
+    if len(images) != d:
+        raise ValueError(f"element of rank {len(images)} cannot act on {d} tensor slots")
     pos = basis_positions(n, d)
     target = []
     coeff = []
@@ -79,9 +81,9 @@ def w_action_monomial(w: SignedPermutation, n: int, d: int) -> tuple[list[int], 
         image = [0] * d
         sign = 1
         for k, v in enumerate(t):
-            if w.signs[k] < 0 and v <= n + 1:
+            if signs[k] < 0 and v <= n + 1:
                 sign = -sign
-            image[w.images[k] - 1] = v
+            image[images[k] - 1] = v
         target.append(pos[tuple(image)])
         coeff.append(sign)
     return target, coeff

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections.abc
 from collections import namedtuple
+from math import prod
 from operator import mul
 
 
@@ -58,12 +59,18 @@ def suite_characters() -> collections.abc.Iterator[CheckResult]:
         yield CheckResult(f"column orthogonality d={d}", col_ok)
     table = ho.character_table(3)
     d = 3
+
+    def flip(w):  # (-1)^(number of sign flips)
+        return prod(w[1])
+
+    def perm_sign(w):  # (-1)^(d - number of cycles)
+        return (-1) ** (d - sum(map(len, ho.cycle_type(w))))
+
     linear = {
         Bipartition(Partition(), Partition([d])): lambda w: 1,
-        Bipartition(Partition([d]), Partition()): lambda w: w.flip_character(),
-        Bipartition(Partition(), Partition([1] * d)): ho.SignedPermutation.perm_sign,
-        Bipartition(Partition([1] * d), Partition()): lambda w: w.flip_character()
-        * w.perm_sign(),
+        Bipartition(Partition([d]), Partition()): flip,
+        Bipartition(Partition(), Partition([1] * d)): perm_sign,
+        Bipartition(Partition([1] * d), Partition()): lambda w: flip(w) * perm_sign(w),
     }
     lin_ok = True
     for rho, func in linear.items():

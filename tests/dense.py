@@ -16,13 +16,8 @@ ranks as traces; scaled_projector looks up one label's.
 from fractions import Fraction
 from math import lcm
 
-from springerc.hyperoctahedral import (
-    SignedPermutation,
-    character_table,
-    cycle_type,
-    group_order,
-    iter_group,
-)
+from oracles import SignedPermutation, generators, group_elements
+from springerc.hyperoctahedral import character_table, cycle_type, group_order
 from springerc.labels import Bipartition, SymComposition
 from springerc.partitions import irr_dim
 from springerc.tensor import (
@@ -222,18 +217,6 @@ class ExactMatrix:
     def _same_shape(self, other: "ExactMatrix") -> None:
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-
-
-def generators(d: int) -> list[SignedPermutation]:
-    """s_1 = sign flip at position 1; s_k (k >= 2) swaps k-1 and k."""
-    if d < 1:
-        raise ValueError("the group needs rank at least 1")
-    gens = [SignedPermutation(range(1, d + 1), (-1,) + (1,) * (d - 1))]
-    for k in range(2, d + 1):
-        images = list(range(1, d + 1))
-        images[k - 2], images[k - 1] = images[k - 1], images[k - 2]
-        gens.append(SignedPermutation(images, (1,) * d))
-    return gens
 
 
 def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
@@ -443,7 +426,7 @@ def isotypic_projector(
         table = character_table(d)
         size = (2 * n + 1) ** d
         acc = [[0] * size for _ in range(size)]
-        for w in iter_group(d):
+        for w in group_elements(d):
             chi = table.value(rho, cycle_type(w.inverse()))
             for p, q in enumerate(_swap_monomial(w, n, d)[0]):
                 acc[q][p] += chi

@@ -4,13 +4,13 @@ import argparse
 import itertools
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
 from springerc.cli import EXIT_BAD_INPUT, cmd_verify
-from springerc.labels import Bipartition, Partition
+from springerc.labels import Bipartition, Partition, integers
 from springerc.tables import cmd_htop, cmd_springer, cmd_theta
 
 
@@ -140,6 +140,111 @@ def dominance_maximal_type_c(p: Partition):
     return best[0]
 
 
+class SignedPermutation(namedtuple("SignedPermutation", "images signs")):
+    """A signed permutation of {1..d}, with the group law the engine never uses.
+
+    It is the pair (images, signs) that springerc.hyperoctahedral walks:
+    images is a bijection of {1..d} and signs[k] is the +-1 attached to
+    letter k+1, so cycle_type, w_action_monomial and _apply_swap take it
+    as it is.  The wreath-product law is
+
+        (p1, s1) * (p2, s2) = (p1 o p2, k |-> s1(p2(k)) * s2(k)).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, images, signs):
+        images = integers(images, "image")
+        signs = integers(signs, "sign")
+        d = len(images)
+        if sorted(images) != list(range(1, d + 1)):
+            raise ValueError(f"not a permutation of 1..{d}: {images}")
+        if len(signs) != d or any(s not in (1, -1) for s in signs):
+            raise ValueError(f"signs must be +-1 of length {d}: {signs}")
+        return super().__new__(cls, images, signs)
+
+    @property
+    def d(self) -> int:
+        return len(self.images)
+
+    @classmethod
+    def identity(cls, d: int) -> "SignedPermutation":
+        return cls(range(1, d + 1), (1,) * d)
+
+    def window(self) -> tuple[int, ...]:
+        return tuple(im * s for im, s in zip(self.images, self.signs))
+
+    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
+        if self.d != other.d:
+            raise ValueError(f"rank mismatch: {self.d} vs {other.d}")
+        images = tuple(self.images[j - 1] for j in other.images)
+        signs = tuple(
+            self.signs[other.images[k] - 1] * other.signs[k] for k in range(self.d)
+        )
+        return SignedPermutation(images, signs)
+
+    def inverse(self) -> "SignedPermutation":
+        # The letters k in the order of their images: the k sent to j is j-th.
+        order = sorted(range(self.d), key=self.images.__getitem__)
+        return SignedPermutation([k + 1 for k in order], [self.signs[k] for k in order])
+
+    def flip_character(self) -> int:
+        """delta(w) = (-1)^(number of sign flips), a linear character."""
+        return prod(self.signs)
+
+    def perm_sign(self) -> int:
+        """Sign of the underlying permutation: (-1)^(d - number of cycles)."""
+        cycles, _, _ = block_cycle_types(self, self.d)
+        return (-1) ** (self.d - len(cycles))
+
+    def __repr__(self) -> str:
+        return f"SignedPermutation({list(self.window())})"
+
+
+def generators(d: int) -> list[SignedPermutation]:
+    """s_1 = sign flip at position 1; s_k (k >= 2) swaps k-1 and k."""
+    if d < 1:
+        raise ValueError("the group needs rank at least 1")
+    gens = [SignedPermutation(range(1, d + 1), (-1,) + (1,) * (d - 1))]
+    for k in range(2, d + 1):
+        images = list(range(1, d + 1))
+        images[k - 2], images[k - 1] = images[k - 1], images[k - 2]
+        gens.append(SignedPermutation(images, (1,) * d))
+    return gens
+
+
+@lru_cache(maxsize=None)
+def group_elements(d: int) -> frozenset:
+    """Every element of rank d: the closure of the generators under the group law."""
+    found = frontier = {SignedPermutation.identity(d)}
+    while frontier:
+        frontier = {w * s for w in frontier for s in generators(d)} - found
+        found = found | frontier
+    return frozenset(found)
+
+
+def class_representative(cls: Bipartition) -> SignedPermutation:
+    """An element of the class pos|neg, built by the group law.
+
+    Each k-cycle, on consecutive letters from `start`, is the product of the
+    k - 1 adjacent transpositions among them; a negative one is then
+    multiplied by the flip of `start`.
+    """
+    d = cls.size()
+    gens = generators(d)  # gens[j] swaps j and j+1 for j >= 1
+    w, start = SignedPermutation.identity(d), 1
+    for parts, sign in ((cls.first, 1), (cls.second, -1)):
+        for k in parts:
+            for j in range(start, start + k - 1):
+                w = w * gens[j]
+            if sign < 0:
+                flip = [1] * d
+                flip[start - 1] = -1
+                w = w * SignedPermutation(range(1, d + 1), flip)
+            start += k
+    return w
+
+
 def block_cycle_types(y, a: int):
     """Unsigned cycle types of y on 1..a and on a+1..d, and its flips on 1..a.
 
@@ -193,15 +298,13 @@ def sym_group_character(shape: tuple, ctype: tuple) -> int:
 
 
 def character_value_by_cosets(rho: Bipartition, cls: Bipartition) -> int:
-    """Reference for hyperoctahedral.character_value: the coset-sum formula.
+    """Reference for hyperoctahedral.character_table's values: the coset sum.
 
     The irreducible rho = (mu, nu) is induced from W_a x W_b, a = |mu|.  Its
     value at g sums the block character over one coset representative t
     per a-subset of 1..d (the order-preserving placement of 1..a onto it,
     all signs positive), keeping the t with t^-1 g t in W_a x W_b.
     """
-    from springerc.hyperoctahedral import SignedPermutation, class_representative
-
     d, a = rho.size(), rho.first.size()
     g = class_representative(cls)
     total = 0
@@ -232,13 +335,7 @@ def coset_character_by_group(dcomp) -> dict:
 
     counted in one pass over W that keeps the elements of H.
     """
-    from springerc.hyperoctahedral import (
-        class_size,
-        conjugacy_class_labels,
-        cycle_type,
-        group_order,
-        iter_group,
-    )
+    from springerc.hyperoctahedral import class_size, conjugacy_class_labels, cycle_type, group_order
 
     d = dcomp.total // 2
     sizes = list(dcomp[: dcomp.n]) + [dcomp[dcomp.n] // 2]
@@ -248,7 +345,7 @@ def coset_character_by_group(dcomp) -> dict:
     last = len(sizes) - 1
     counts = Counter(
         cycle_type(w)
-        for w in iter_group(d)
+        for w in group_elements(d)
         if all(
             block[im - 1] == b and (s == 1 or b == last)
             for im, s, b in zip(w.images, w.signs, block)

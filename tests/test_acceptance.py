@@ -13,11 +13,11 @@ from pathlib import Path
 from dense import (
     change_of_basis,
     g_action_matrix,
-    generators,
     involution_fixed_generators,
     single_factor_change_of_basis,
     w_action_matrix,
 )
+from oracles import SignedPermutation, generators
 from springerc.cli import main
 from springerc.geometry import flag_dim, htop_table, orbit_dim, richardson
 from springerc.hyperoctahedral import (
@@ -218,7 +218,7 @@ def test_criterion_9_commutants_and_change_of_basis():
         cob_inv = cob.inverse()
         for w in iter_group(d):
             lhs = cob_inv @ w_action_matrix(w, n, d, "swap") @ cob
-            rhs = w.flip_character() * w_action_matrix(w, n, d, "sign")
+            rhs = SignedPermutation(*w).flip_character() * w_action_matrix(w, n, d, "sign")
             assert lhs == rhs
         single = single_factor_change_of_basis(n)
         single_inv = single.inverse()

@@ -858,6 +858,37 @@ def test_orthogonality_checks_can_fail(capsys, monkeypatch):
     assert out.count("FAIL") == 2
 
 
+def test_linear_character_check_can_fail(capsys, monkeypatch):
+    before = hyperoctahedral.character_table(3).values
+    _perturb_character_table(monkeypatch, 3)
+    after = hyperoctahedral.character_table(3).values
+    # the bumped value is the flip character's, at the class of -1
+    assert [f"{rho} at {cls}" for rho, cls in after if after[rho, cls] != before[rho, cls]] == [
+        "3|- at -|1,1,1"
+    ]
+    code, out, _ = run(capsys, "verify", "characters")
+    assert code == 1
+    assert "FAIL  linear characters match explicit 1-dim models d=3" in out.splitlines()
+    assert out.endswith("\n18/22 checks passed\n")
+
+
+def test_coset_character_check_can_fail(capsys, monkeypatch):
+    real = hyperoctahedral.coset_permutation_character
+
+    def bumped(dcomp):
+        char = dict(real(dcomp))
+        char[next(iter(char))] += 1
+        return char
+
+    monkeypatch.setattr(hyperoctahedral, "coset_permutation_character", bumped)
+    code, out, _ = run(capsys, "verify", "sw")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL  coset permutation character equals flag fixed-point counts"
+    ]
+    assert out.endswith("\n9/10 checks passed\n")
+
+
 def _wrong_flag_dim(monkeypatch):
     real = geometry.flag_dim
     monkeypatch.setattr(

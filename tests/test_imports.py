@@ -202,6 +202,31 @@ def test_commands_load_no_json(argv):
     assert "json" not in loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("springer", "--d", "3"),
+        ("htop", "--n", "2", "--d", "2"),
+        ("theta", "--n", "1", "--d", "2", "--format", "tsv"),
+        ("--help",),
+        ("verify", "all"),
+    ],
+)
+def test_option_values_load_no_re(argv):
+    # The parser reads a token with `re` only when it names no option.  Run
+    # without `site` (-S), which on some installs imports `re` itself.
+    proc = fresh("-S", "-c", PROBE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.splitlines()[-1].split()
+    assert loaded[0] == "LOADED" and "re" not in loaded[1:]
+
+
+def test_a_negative_option_value_is_still_read_as_a_value():
+    proc = fresh("-S", "-m", "springerc", "htop", "--n", "-3", "--d", "2")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: n and d must be nonnegative\n"
+
+
 def test_verify_all_loads_no_fractions():
     # characters, their orthogonality and decompositions are integer-only
     loaded, _ = run_fresh("verify", "all")

@@ -235,7 +235,8 @@ def test_num_standard_tableaux_matches_enumeration(p):
 
 def test_records_and_components_are_tuples_of_their_fields():
     from springerc.geometry import htop_table
-    from springerc.hyperoctahedral import SignedPermutation, character_table
+    from oracles import SignedPermutation
+    from springerc.hyperoctahedral import character_table
     from springerc.verify import CheckResult
 
     rho = Bipartition(Partition([1]), Partition())

@@ -5,7 +5,6 @@ from dense import (
     bareiss_rank,
     change_of_basis,
     g_action_matrix,
-    generators,
     involution_fixed_generators,
     isotypic_projector,
     scaled_projector,
@@ -14,6 +13,8 @@ from dense import (
     w_action_matrix,
 )
 from oracles import (
+    SignedPermutation,
+    generators,
     graded_multiplicity_by_projector,
     graded_multiplicity_per_label,
     steinberg_count,
@@ -21,7 +22,6 @@ from oracles import (
 )
 from springerc import tensor
 from springerc.hyperoctahedral import (
-    SignedPermutation,
     character_table,
     class_representative,
     conjugacy_class_labels,
@@ -119,7 +119,7 @@ def test_identity_acts_as_identity():
 @pytest.mark.parametrize("convention", ["swap", "sign"])
 @pytest.mark.parametrize("n,d", [(1, 2), (2, 2)])
 def test_action_is_a_homomorphism(convention, n, d):
-    elements = list(iter_group(d))
+    elements = [SignedPermutation(*w) for w in iter_group(d)]
     mats = {w: w_action_matrix(w, n, d, convention) for w in elements}
     for a in elements:
         for b in elements:
@@ -237,7 +237,7 @@ def test_change_of_basis_conjugates_up_to_flip_character():
     c_inv = c.inverse()
     for w in iter_group(d):
         lhs = c_inv @ w_action_matrix(w, n, d, "swap") @ c
-        rhs = w.flip_character() * w_action_matrix(w, n, d, "sign")
+        rhs = SignedPermutation(*w).flip_character() * w_action_matrix(w, n, d, "sign")
         assert lhs == rhs
 
 
