@@ -1,10 +1,13 @@
 """The writers of the `springer`, `htop` and `theta` tables, in pretty, tsv and json.
 
 Only those three commands load this module, so `--help` and `verify` compile
-none of it.  Each cmd_ function writes its table to stdout and returns the
-exit status 0.  No table is written a line at a time (see _write_blocks),
-and json is written by _json_pieces, which gives the text of
-``json.dumps(value, indent=2)`` without loading `json`.
+none of it.  Each cmd_ function writes its table to stdout, cmd_theta by
+handing off to theta.write_table, and returns the exit status 0.  No table
+is written a line at a time (see _write_blocks), and json is written by
+_json_pieces, which gives the text of ``json.dumps(value, indent=2)``
+without loading `json`.  Every string a table holds is a label's text, a
+comma-joined list of integers or a fixed key, so the writer takes only
+strings that need no escape and refuses any other.
 """
 
 from __future__ import annotations
@@ -12,10 +15,6 @@ from __future__ import annotations
 import sys
 
 WRITE_CHARS = 1 << 16  # a block closes once it holds this many characters
-# json's short escapes; any other character outside " " to "~" is written as \uXXXX.
-ESCAPES = {
-    '"': '\\"', "\\": "\\\\", "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"
-}
 
 
 def _write_blocks(chunks) -> None:
@@ -37,21 +36,10 @@ def _write_blocks(chunks) -> None:
         sys.stdout.write("".join(block))
 
 
-def _escape(char: str) -> str:
-    """One character of a json string, escaped as json.dumps escapes it by default (to ASCII)."""
-    code = ord(char)
-    if " " <= char <= "~" and char not in '"\\':
-        return char
-    if code > 0xFFFF:  # a surrogate pair
-        code -= 0x10000
-        return "\\u%04x\\u%04x" % (0xD800 | code >> 10, 0xDC00 | code & 0x3FF)
-    return ESCAPES.get(char) or "\\u%04x" % code
-
-
 def _quote(text: str) -> str:
-    """A json string, escaped as json.dumps escapes it; str.isascii refuses a non-str."""
+    """A json string; refuses a non-str and any str json would escape (no table holds one)."""
     if not (str.isascii(text) and text.isprintable()) or '"' in text or "\\" in text:
-        text = "".join(map(_escape, text))
+        raise TypeError(f"{text!r} is not written as json")
     return f'"{text}"'
 
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import prod
 
 from .exact import _row_times, _sparse_rows
 from .hyperoctahedral import character_table, cycle_type, group_order, iter_group
@@ -41,18 +42,6 @@ from .labels import Bipartition
 from .partitions import bipartition_counts, enumerate_bipartitions, irr_dim
 
 MAX_PROJECTOR_WORK = 10_000_000  # about 1.6 s, at 0.16 microseconds per unit
-
-
-@lru_cache(maxsize=None)
-def tensor_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All index tuples (i_1..i_d), entries 1..2n+1, in ascending lex order."""
-    big_n = 2 * n + 1
-    return tuple(itertools.product(range(1, big_n + 1), repeat=d))
-
-
-@lru_cache(maxsize=None)
-def basis_positions(n: int, d: int) -> dict:
-    return {t: i for i, t in enumerate(tensor_basis(n, d))}
 
 
 def _apply_swap(w: tuple, t: tuple[int, ...], big_n: int) -> tuple[int, ...]:
@@ -69,24 +58,19 @@ def w_action_monomial(w: tuple, n: int, d: int) -> tuple[list[int], list[int]]:
     """The action of w = (images, signs) as a basis permutation with signs.
 
     Returns (target, coeff): basis position p maps to position target[p]
-    with scalar coeff[p].
+    with scalar coeff[p].  The basis is the tuples of d letters 1..N in
+    ascending lex order, so letter v in slot k adds (v-1) * N^(d-images[k])
+    to the position of its image.
     """
     images, signs = w
     if len(images) != d:
         raise ValueError(f"element of rank {len(images)} cannot act on {d} tensor slots")
-    pos = basis_positions(n, d)
-    target = []
-    coeff = []
-    for t in tensor_basis(n, d):
-        image = [0] * d
-        sign = 1
-        for k, v in enumerate(t):
-            if signs[k] < 0 and v <= n + 1:
-                sign = -sign
-            image[images[k] - 1] = v
-        target.append(pos[tuple(image)])
-        coeff.append(sign)
-    return target, coeff
+    big_n = 2 * n + 1
+    places = [big_n ** (d - image) for image in images]
+    flipped = [-1] * (n + 1) + [1] * n
+    target = map(sum, itertools.product(*([v * place for v in range(big_n)] for place in places)))
+    coeff = map(prod, itertools.product(*(flipped if s < 0 else [1] * big_n for s in signs)))
+    return list(target), list(coeff)
 
 
 def _check_projector_work(n: int, d: int) -> None:
@@ -154,8 +138,8 @@ def scaled_projectors(n: int, d: int) -> tuple[tuple[Bipartition, tuple, int], .
 def _check_idempotent(acc, dim, order, rho):
     rows = _sparse_rows(acc)
     for i, row in enumerate(rows):
-        for j, (entry, prod) in enumerate(zip(acc[i], _row_times(row, rows, len(acc)))):
-            if dim * prod != order * entry:
+        for j, (entry, squared) in enumerate(zip(acc[i], _row_times(row, rows, len(acc)))):
+            if dim * squared != order * entry:
                 raise ArithmeticError(
                     f"projector for {rho} is not idempotent at entry ({i},{j})"
                 )

@@ -4,37 +4,93 @@ Exact rational matrices ranked by fraction-free (Bareiss) elimination, the
 group acting by dense matrices in both conventions, the Lie algebra
 gl_{n+1} (+) gl_n by matrix units through the Leibniz rule, the generators
 of sl_N fixed by the flip involution, and the eigenbasis change of basis
-that intertwines the two conventions.  ``sign`` is the package's action
-(springerc.tensor.w_action_monomial); ``swap`` is the permutation action of
-the coordinate-flag model (springerc.tensor._apply_swap).  None of it is
-on a CLI path: the package keeps only the integer sign-convention
-projector accumulators that `verify sw` checks, all of (n, d) from one
-walk of the group (springerc.tensor.scaled_projectors), and reads their
-ranks as traces; scaled_projector looks up one label's.
+that intertwines the two conventions.  The basis, both monomial actions and
+the projectors are built here from oracles.SignedPermutation, its group and
+its coset characters, with no engine code: ``sign`` is the action the
+package's projectors use, and ``swap`` is the permutation action of the
+coordinate-flag model.  The package keeps only the integer sign-convention
+projector accumulators that `verify sw` checks; scaled_projector is their
+reference, one label at a time.
 """
 
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
-from oracles import SignedPermutation, generators, group_elements
-from springerc.hyperoctahedral import character_table, cycle_type, group_order
-from springerc.labels import Bipartition, SymComposition
-from springerc.partitions import irr_dim
-from springerc.tensor import (
-    _apply_swap,
-    basis_positions,
-    scaled_projectors,
-    tensor_basis,
-    w_action_monomial,
+from oracles import (
+    SignedPermutation,
+    character_value_by_cosets,
+    generators,
+    group_elements,
+    signed_cycle_type,
 )
+from springerc.labels import Bipartition, Partition, SymComposition
+from springerc.limits import CostBoundExceeded
+
+MAX_DENSE_SIZE = 1000  # basis vectors; an accumulator holds the square
 
 
-def scaled_projector(rho: Bipartition, n: int, d: int):
-    """The package's accumulator for rho at (n, d), as (A, dim, |W|)."""
-    for label, acc, dim in scaled_projectors(n, d):
-        if label == rho:
-            return acc, dim, group_order(d)
-    raise ValueError(f"{rho} labels no projector at d = {d}")
+@lru_cache(maxsize=None)
+def tensor_basis(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """All index tuples (i_1..i_d), entries 1..2n+1, in ascending lex order."""
+    return tuple(itertools.product(range(1, 2 * n + 2), repeat=d))
+
+
+def w_monomial(w, n: int, d: int, convention: str) -> tuple[list[int], list[int]]:
+    """(target, coeff): w sends basis position p to target[p] with scalar coeff[p].
+
+    The letter in slot k moves to slot images[k].  Where signs[k] is -1, the
+    ``sign`` action negates the vector when that letter lies in 1..n+1, and
+    the ``swap`` action replaces the letter v by N+1-v.
+    """
+    if convention not in ("sign", "swap"):
+        raise ValueError(f"no convention {convention!r}")
+    images, signs = SignedPermutation(*w)
+    big_n = 2 * n + 1
+    basis = tensor_basis(n, d)
+    pos = {t: p for p, t in enumerate(basis)}
+    target, coeff = [], []
+    for t in basis:
+        image, c = [0] * d, 1
+        for k, v in enumerate(t):
+            if signs[k] < 0 and convention == "swap":
+                v = big_n + 1 - v
+            elif signs[k] < 0 and v <= n + 1:
+                c = -c
+            image[images[k] - 1] = v
+        target.append(pos[tuple(image)])
+        coeff.append(c)
+    return target, coeff
+
+
+@lru_cache(maxsize=None)
+def _monomials(n: int, d: int, convention: str) -> tuple:
+    return tuple((w, *w_monomial(w, n, d, convention)) for w in group_elements(d))
+
+
+def scaled_projector(rho: Bipartition, n: int, d: int, convention: str = "sign"):
+    """(A, dim, |W|) with A = sum_w chi_rho(w^-1) action(w), summed over the group.
+
+    A is a tuple of integer rows, |W| * P / dim for the true projector P.
+    The characters are the oracle's coset sums, dim is the value at the
+    identity, and |W| counts the oracle's group.
+    """
+    if rho.size() != d:
+        raise ValueError(f"{rho} labels no projector at d = {d}")
+    size = (2 * n + 1) ** d
+    if size > MAX_DENSE_SIZE:
+        raise CostBoundExceeded(f"{size} basis vectors exceed the dense ceiling {MAX_DENSE_SIZE}")
+    chi = {}
+    acc = [[0] * size for _ in range(size)]
+    for w, target, coeff in _monomials(n, d, convention):
+        cls = signed_cycle_type(w.inverse())
+        if cls not in chi:
+            chi[cls] = character_value_by_cosets(rho, cls)
+        for p, (q, c) in enumerate(zip(target, coeff)):
+            acc[q][p] += chi[cls] * c
+    dim = character_value_by_cosets(rho, Bipartition(Partition([1] * d), Partition()))
+    return tuple(map(tuple, acc)), dim, len(group_elements(d))
 
 
 def bareiss_rank(grid: list[list[int]]) -> int:
@@ -229,12 +285,6 @@ def tensor_grading(idx: tuple[int, ...], n: int) -> SymComposition:
     return SymComposition(counts)
 
 
-def _swap_monomial(w: SignedPermutation, n: int, d: int) -> tuple[list[int], list[int]]:
-    pos = basis_positions(n, d)
-    target = [pos[_apply_swap(w, t, 2 * n + 1)] for t in tensor_basis(n, d)]
-    return target, [1] * len(target)
-
-
 def w_action_matrix(
     w: SignedPermutation,
     n: int,
@@ -242,8 +292,7 @@ def w_action_matrix(
     convention: str,
 ) -> ExactMatrix:
     """Dense matrix of the group element in the ``sign`` or ``swap`` convention."""
-    monomial = {"sign": w_action_monomial, "swap": _swap_monomial}[convention]
-    target, coeff = monomial(w, n, d)
+    target, coeff = w_monomial(w, n, d, convention)
     size = len(target)
     grid = [[0] * size for _ in range(size)]
     for p in range(size):
@@ -254,7 +303,7 @@ def w_action_matrix(
 def _leibniz_matrix(single: list[list[int]], n: int, d: int) -> ExactMatrix:
     # Sum over slots of I x .. x single x .. x I on the monomial basis.
     basis = tensor_basis(n, d)
-    pos = basis_positions(n, d)
+    pos = {t: p for p, t in enumerate(basis)}
     big_n = 2 * n + 1
     size = len(basis)
     grid = [[0] * size for _ in range(size)]
@@ -415,20 +464,6 @@ def isotypic_projector(
     d: int,
     convention: str = "sign",
 ) -> ExactMatrix:
-    """The idempotent (dim/|W|) sum_w chi_rho(w^-1) action(w).
-
-    The sign projector is the package's checked accumulator; the swap
-    projector is summed here from the flag-model permutations.
-    """
-    if convention == "sign":
-        acc, dim, order = scaled_projector(rho, n, d)
-    else:
-        table = character_table(d)
-        size = (2 * n + 1) ** d
-        acc = [[0] * size for _ in range(size)]
-        for w in group_elements(d):
-            chi = table.value(rho, cycle_type(w.inverse()))
-            for p, q in enumerate(_swap_monomial(w, n, d)[0]):
-                acc[q][p] += chi
-        dim, order = irr_dim(rho), group_order(d)
+    """The idempotent (dim/|W|) sum_w chi_rho(w^-1) action(w)."""
+    acc, dim, order = scaled_projector(rho, n, d, convention)
     return ExactMatrix(acc) * Fraction(dim, order)

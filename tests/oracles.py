@@ -267,6 +267,20 @@ def block_cycle_types(y, a: int):
     )
 
 
+def signed_cycle_type(w: SignedPermutation) -> Bipartition:
+    """pos|neg: the lengths of the cycles of w whose signs multiply to +1, and to -1."""
+    cycles, left = {1: [], -1: []}, set(w.images)
+    while left:
+        k, length, sign = min(left), 0, 1
+        while k in left:
+            left.remove(k)
+            length += 1
+            sign *= w.signs[k - 1]
+            k = w.images[k - 1]
+        cycles[sign].append(length)
+    return Bipartition(*(Partition(sorted(cycles[s], reverse=True)) for s in (1, -1)))
+
+
 @lru_cache(maxsize=None)
 def sym_group_character(shape: tuple, ctype: tuple) -> int:
     """Character of the symmetric group irreducible `shape` at cycle type `ctype`.
@@ -333,28 +347,26 @@ def coset_character_by_group(dcomp) -> dict:
 
         Ind_H^W 1 (g) = |W| * |cl(g) & H| / (|cl(g)| * |H|),
 
-    counted in one pass over W that keeps the elements of H.
+    counted in one pass over W that keeps the elements of H.  The classes,
+    their sizes and |W| all come from that pass.
     """
-    from springerc.hyperoctahedral import class_size, conjugacy_class_labels, cycle_type, group_order
-
     d = dcomp.total // 2
     sizes = list(dcomp[: dcomp.n]) + [dcomp[dcomp.n] // 2]
     # w lies in H when it maps each letter into its own block and flips
     # signs only on the last block.
     block = [i for i, size in enumerate(sizes) for _ in range(size)]
     last = len(sizes) - 1
-    counts = Counter(
-        cycle_type(w)
-        for w in group_elements(d)
-        if all(
+    class_sizes, in_h = Counter(), Counter()
+    for w in group_elements(d):
+        cls = signed_cycle_type(w)
+        class_sizes[cls] += 1
+        in_h[cls] += all(
             block[im - 1] == b and (s == 1 or b == last)
             for im, s, b in zip(w.images, w.signs, block)
         )
-    )
-    order = sum(counts.values())
+    order, h_order = len(group_elements(d)), sum(in_h.values())
     return {
-        cls: group_order(d) * counts[cls] // (class_size(cls) * order)
-        for cls in conjugacy_class_labels(d)
+        cls: order * in_h[cls] // (class_sizes[cls] * h_order) for cls in sorted(class_sizes)
     }
 
 
@@ -367,9 +379,8 @@ def graded_multiplicity_by_projector(rho, n: int, d: int) -> dict:
     multiplicity.  Returns {component: multiplicity}; callers check the sum
     against the closed form gl_dim(mu, n+1) * gl_dim(nu, n).
     """
-    from dense import bareiss_rank, scaled_projector, tensor_grading
+    from dense import bareiss_rank, scaled_projector, tensor_basis, tensor_grading
     from springerc.partitions import enumerate_sym_compositions
-    from springerc.tensor import tensor_basis
 
     acc, dim, _order = scaled_projector(rho, n, d)
     blocks: dict = {}

@@ -15,6 +15,7 @@ from dense import (
     g_action_matrix,
     involution_fixed_generators,
     single_factor_change_of_basis,
+    tensor_basis,
     w_action_matrix,
 )
 from oracles import SignedPermutation, generators
@@ -35,7 +36,7 @@ from springerc.partitions import (
     irr_dim,
 )
 from springerc.springer import springer_orbit
-from springerc.tensor import _apply_swap, schur_weyl_decompose, tensor_basis
+from springerc.tensor import _apply_swap, schur_weyl_decompose
 from springerc.theta import iter_flag_matrices
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -9,13 +9,16 @@ from dense import (
     isotypic_projector,
     scaled_projector,
     single_factor_change_of_basis,
+    tensor_basis,
     tensor_grading,
     w_action_matrix,
+    w_monomial,
 )
 from oracles import (
     SignedPermutation,
     generators,
     graded_multiplicity_by_projector,
+    group_elements,
     graded_multiplicity_per_label,
     steinberg_count,
     steinberg_count_dp,
@@ -43,7 +46,6 @@ from springerc.tensor import (
     _check_idempotent,
     scaled_projectors,
     schur_weyl_decompose,
-    tensor_basis,
 )
 from springerc.theta import iter_flag_matrices
 
@@ -272,6 +274,16 @@ def test_projector_algebra():
     for i, (_, p) in enumerate(items):
         for _, q in items[i + 1 :]:
             assert (p @ q).is_zero()
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 2), (0, 3), (1, 3)])
+def test_engine_action_and_projectors_match_the_dense_oracle(n, d):
+    # The engine reads basis positions from place values; the oracle looks
+    # the image tuples up in its own basis, and sums its own accumulators.
+    for w in group_elements(d):
+        assert tensor.w_action_monomial(w, n, d) == tuple(w_monomial(w, n, d, "sign")), w
+    for rho, acc, dim in scaled_projectors(n, d):
+        assert scaled_projector(rho, n, d) == (acc, dim, len(group_elements(d))), str(rho)
 
 
 def test_idempotence_check_sees_one_changed_entry():
